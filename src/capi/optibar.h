@@ -23,11 +23,10 @@
  * ERROR MODEL. Every entry point sets a thread-local status code,
  * readable via optibar_last_status(); on failure a thread-local
  * message is readable via optibar_last_error(). Failing functions
- * additionally return NULL / 0. The *_v2 entry points are the
- * preferred spellings; the original errbuf-taking signatures remain as
- * thin wrappers over them.
+ * additionally return NULL / 0.
  *
- * MIGRATION from the errbuf API:
+ * MIGRATION from the errbuf API: the errbuf-taking signatures have been
+ * removed. Replace
  *     optibar_open(path, errbuf, len)       -> optibar_open_v2(path, 1)
  *     optibar_world_plan(lib, errbuf, len)  -> optibar_world_plan_v2(lib)
  *     optibar_subset_plan(lib, r, n, e, l)  -> optibar_subset_plan_v2(lib, r, n)
@@ -39,15 +38,6 @@
 
 #include <stddef.h>
 #include <stdint.h>
-
-/* Compile-time deprecation marker for the legacy errbuf signatures. */
-#if defined(__GNUC__) || defined(__clang__)
-#define OPTIBAR_DEPRECATED(msg) __attribute__((deprecated(msg)))
-#elif defined(_MSC_VER)
-#define OPTIBAR_DEPRECATED(msg) __declspec(deprecated(msg))
-#else
-#define OPTIBAR_DEPRECATED(msg)
-#endif
 
 #ifdef __cplusplus
 extern "C" {
@@ -317,28 +307,6 @@ optibar_episode* optibar_icollective_post(optibar_library* library,
 /* Same contract as optibar_ibarrier_test / optibar_ibarrier_wait. */
 int optibar_icollective_test(optibar_episode* episode);
 optibar_status optibar_icollective_wait(optibar_episode* episode);
-
-/*
- * DEPRECATED errbuf-based signatures — thin wrappers over the *_v2
- * functions above (serial tuning, threads = 1). On failure they copy
- * optibar_last_error() into errbuf (always NUL-terminated, truncating
- * if needed). Prefer the *_v2 forms + optibar_last_status(): they
- * carry a machine-readable status code, never truncate the message,
- * and skip the per-call buffer plumbing. These wrappers remain only
- * for source compatibility with pre-status callers and may be removed
- * in a future major version.
- */
-OPTIBAR_DEPRECATED("use optibar_open_v2 + optibar_last_status/last_error")
-optibar_library* optibar_open(const char* profile_path, char* errbuf,
-                              size_t errbuf_len);
-OPTIBAR_DEPRECATED("use optibar_world_plan_v2 + optibar_last_status/last_error")
-const optibar_plan* optibar_world_plan(optibar_library* library, char* errbuf,
-                                       size_t errbuf_len);
-OPTIBAR_DEPRECATED(
-    "use optibar_subset_plan_v2 + optibar_last_status/last_error")
-const optibar_plan* optibar_subset_plan(optibar_library* library,
-                                        const size_t* ranks, size_t count,
-                                        char* errbuf, size_t errbuf_len);
 
 #ifdef __cplusplus
 }

@@ -2,8 +2,7 @@
 //
 // Error model: every entry point records its outcome in thread-local
 // state (tl_status / tl_message) so concurrent callers never observe
-// each other's failures. The deprecated errbuf signatures are wrappers
-// that forward to the *_v2 forms and copy the thread-local message out.
+// each other's failures.
 #include "capi/optibar.h"
 
 #include <atomic>
@@ -63,15 +62,6 @@ void set_caught(optibar_status status) {
   } catch (...) {
     set_error(OPTIBAR_ERR_INTERNAL, "unknown exception in optibar");
   }
-}
-
-void fill_error(char* errbuf, size_t errbuf_len) {
-  if (errbuf == nullptr || errbuf_len == 0) {
-    return;
-  }
-  // snprintf always NUL-terminates, truncating when tl_message is
-  // longer than the buffer.
-  std::snprintf(errbuf, errbuf_len, "%s", tl_message.c_str());
 }
 
 }  // namespace
@@ -824,36 +814,6 @@ int optibar_icollective_test(optibar_episode* episode) {
 
 optibar_status optibar_icollective_wait(optibar_episode* episode) {
   return episode_wait(episode);
-}
-
-/* ---- deprecated errbuf wrappers ---- */
-
-optibar_library* optibar_open(const char* profile_path, char* errbuf,
-                              size_t errbuf_len) {
-  optibar_library* library = optibar_open_v2(profile_path, 1);
-  if (library == nullptr) {
-    fill_error(errbuf, errbuf_len);
-  }
-  return library;
-}
-
-const optibar_plan* optibar_world_plan(optibar_library* library, char* errbuf,
-                                       size_t errbuf_len) {
-  const optibar_plan* plan = optibar_world_plan_v2(library);
-  if (plan == nullptr) {
-    fill_error(errbuf, errbuf_len);
-  }
-  return plan;
-}
-
-const optibar_plan* optibar_subset_plan(optibar_library* library,
-                                        const size_t* ranks, size_t count,
-                                        char* errbuf, size_t errbuf_len) {
-  const optibar_plan* plan = optibar_subset_plan_v2(library, ranks, count);
-  if (plan == nullptr) {
-    fill_error(errbuf, errbuf_len);
-  }
-  return plan;
 }
 
 }  // extern "C"

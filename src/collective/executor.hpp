@@ -1,152 +1,77 @@
 // End-to-end collective execution on the simmpi runtime.
 //
-// The collective counterpart of simmpi::ScheduleExecutor: per rank and
-// stage it precomputes the send and receive lists of a
-// CollectiveSchedule. The stage semantics match the serial interpreter
-// exactly — outgoing sub-ranges are copied out of the rank's buffer
-// *before* any incoming data of the stage is applied (the snapshot
-// rule), and incoming edges are applied in ascending source order — so
-// a valid schedule's execution is bit-exact against execute_serial()
-// and the oracle, which is what makes data correctness (not just
-// timing) testable on the threaded runtime.
-//
-// Like the barrier executor, execution is handle-based
-// (MPI_Iallreduce-style): post() issues stage 0 and returns, test()
-// polls and advances, wait() finishes in bounded progress slices, and
-// the blocking execute() is literally wait(post()) — so the nonblocking
-// lifecycle inherits the snapshot/apply ordering (and therefore the
-// bit-exactness guarantee) by construction.
+// The collective view of the staged-edge executor core
+// (simmpi/staged_executor.hpp), which also runs barriers: it checks the
+// schedule's dataflow and translates each CollectiveEdge into an
+// outgoing edge of its sender and an incoming edge of its receiver,
+// carrying the edge's element sub-range and combine role. The core's
+// stage semantics match the serial interpreter exactly — outgoing
+// sub-ranges are copied out of the rank's buffer *before* any incoming
+// data of the stage is applied (the snapshot rule), and incoming edges
+// are applied in ascending source order — so a valid schedule's
+// execution is bit-exact against execute_serial() and the oracle, which
+// is what makes data correctness (not just timing) testable on the
+// threaded runtime. Execution is handle-based (MPI_Iallreduce-style):
+// post() issues stage 0 and returns, test() polls and advances, wait()
+// finishes in bounded progress slices, and execute() is wait(post()).
+// Collective edges are always two-sided: the RMA board carries flag
+// words only.
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "collective/schedule.hpp"
-#include "simmpi/executor_options.hpp"
-#include "simmpi/fault.hpp"
-#include "simmpi/resilience.hpp"
-#include "simmpi/runtime.hpp"
+#include "simmpi/staged_executor.hpp"
 
 namespace optibar {
 
 class CollectiveExecutor {
  public:
-  /// One in-flight collective episode of one rank. Move-only; the
-  /// handle owns the current stage's requests and inbox. The buffer
-  /// passed to post() is transformed in place and must stay alive (at a
-  /// stable address) until the episode is done.
-  class EpisodeHandle {
-   public:
-    EpisodeHandle() = default;
-    EpisodeHandle(EpisodeHandle&&) = default;
-    EpisodeHandle& operator=(EpisodeHandle&&) = default;
-    EpisodeHandle(const EpisodeHandle&) = delete;
-    EpisodeHandle& operator=(const EpisodeHandle&) = delete;
+  /// One in-flight collective episode of one rank (move-only). The
+  /// buffer passed to post() is transformed in place and must stay
+  /// alive (at a stable address) until the episode is done.
+  using EpisodeHandle = simmpi::StagedExecutor::EpisodeHandle;
+  /// One in-flight bounded-wait episode; its inbox is shared with the
+  /// communicator (keepalive) so a late sender can still deliver into
+  /// storage that outlives a given-up receive.
+  using ResilientEpisodeHandle = simmpi::StagedExecutor::ResilientEpisodeHandle;
 
-    bool done() const { return done_; }
-
-   private:
-    friend class CollectiveExecutor;
-    simmpi::RankContext* ctx_ = nullptr;
-    ReduceOp op_ = ReduceOp::kSum;
-    Payload* buffer_ = nullptr;
-    int episode_ = 0;
-    std::size_t stage_ = 0;
-    std::vector<simmpi::Request> requests_;
-    /// Landing zone of the current stage's receives. Lives in the
-    /// handle (stable element addresses across handle moves — vector
-    /// storage does not relocate on move) and is applied to the buffer
-    /// only when the whole stage completed.
-    std::vector<Payload> inbox_;
-    bool done_ = false;
-  };
-
-  /// One in-flight bounded-wait collective episode; see the barrier
-  /// executor's ResilientEpisodeHandle for the elapsed-progress-time
-  /// deadline semantics. The inbox is shared with the communicator
-  /// (keepalive) so a late sender can still deliver into storage that
-  /// outlives a given-up receive.
-  class ResilientEpisodeHandle {
-   public:
-    ResilientEpisodeHandle() = default;
-    ResilientEpisodeHandle(ResilientEpisodeHandle&&) = default;
-    ResilientEpisodeHandle& operator=(ResilientEpisodeHandle&&) = default;
-    ResilientEpisodeHandle(const ResilientEpisodeHandle&) = delete;
-    ResilientEpisodeHandle& operator=(const ResilientEpisodeHandle&) = delete;
-
-    bool done() const { return done_ || failed_; }
-    bool succeeded() const { return done_; }
-    bool stalled() const { return failed_; }
-
-   private:
-    friend class CollectiveExecutor;
-    struct SendState {
-      std::size_t dst;
-      std::vector<simmpi::Request> attempts;
-      bool done = false;
-    };
-    struct RecvState {
-      std::size_t src;
-      simmpi::Request request;
-      bool done = false;
-    };
-
-    simmpi::RankContext* ctx_ = nullptr;
-    simmpi::StallReport* report_ = nullptr;
-    simmpi::ResilienceOptions options_;
-    ReduceOp op_ = ReduceOp::kSum;
-    Payload* buffer_ = nullptr;
-    int episode_ = 0;
-    std::size_t crash_at_ = 0;
-    std::size_t stage_ = 0;
-    std::vector<SendState> sends_;
-    std::vector<RecvState> recvs_;
-    std::shared_ptr<std::vector<Payload>> inbox_;
-    std::size_t attempt_ = 0;
-    simmpi::Clock::duration budget_{};
-    simmpi::Clock::duration consumed_{};
-    bool done_ = false;
-    bool failed_ = false;
-  };
-
-  /// Precompute per-rank op lists. The schedule must pass
+  /// Precompute per-rank edges. The schedule must pass
   /// is_valid_collective(): executing an invalid dataflow would
-  /// silently produce wrong buffers. options.validate() runs here.
-  /// Pool semantics match the barrier executor: an owned RankPool with
+  /// silently produce wrong buffers. options.validate() runs too. Pool
+  /// semantics match the barrier executor: an owned RankPool with
   /// ExecutionMode::kPersistentPool, or the caller's shared_pool.
   explicit CollectiveExecutor(const CollectiveSchedule& schedule,
                               const simmpi::ExecutorOptions& options = {});
 
-  /// Deprecated: use CollectiveExecutor(schedule,
-  /// simmpi::ExecutorOptions{.mode = mode}). Thin forward kept for
-  /// source compatibility.
-  [[deprecated("pass ExecutorOptions instead of a bare ExecutionMode")]]
-  CollectiveExecutor(const CollectiveSchedule& schedule,
-                     simmpi::ExecutionMode mode);
-
-  std::size_t ranks() const { return ops_.size(); }
-  std::size_t stage_count() const { return stages_; }
-  const simmpi::ExecutorOptions& options() const { return options_; }
+  std::size_t ranks() const { return core_.ranks(); }
+  std::size_t stage_count() const { return core_.stage_count(); }
+  const simmpi::ExecutorOptions& options() const { return core_.options(); }
 
   /// Post one collective episode: snapshot and send stage 0's outgoing
   /// sub-ranges of `buffer` (elem_count words, transformed in place as
   /// stages complete), arm stage 0's receives, return without waiting.
   EpisodeHandle post(simmpi::RankContext& ctx, ReduceOp op, Payload& buffer,
-                     int episode = 0) const;
+                     int episode = 0) const {
+    return core_.post(ctx, episode, &buffer, op);
+  }
 
   /// Nonblocking probe: advance through every stage whose requests all
   /// completed, applying incoming edges in ascending source order as
   /// each stage closes; returns whether the episode is done.
-  bool test(EpisodeHandle& handle) const;
+  bool test(EpisodeHandle& handle) const { return core_.test(handle); }
 
   /// Drive the episode to completion in bounded progress slices.
-  void wait(EpisodeHandle& handle) const;
+  void wait(EpisodeHandle& handle) const { core_.wait(handle); }
 
   /// Execute one collective episode for `rank`, transforming `buffer`
   /// in place: exactly wait(post(ctx, op, buffer, episode)).
   void execute(simmpi::RankContext& ctx, ReduceOp op, Payload& buffer,
-               int episode = 0) const;
+               int episode = 0) const {
+    core_.execute(ctx, episode, &buffer, op);
+  }
 
   /// Run the collective once across all ranks of a fresh communicator
   /// and return the final per-rank buffers. `inputs` must hold ranks()
@@ -154,7 +79,11 @@ class CollectiveExecutor {
   std::vector<Payload> run_once(
       const std::vector<Payload>& inputs, ReduceOp op,
       simmpi::LatencyModel latency = simmpi::uniform_latency(),
-      simmpi::ByteLatencyModel byte_latency = nullptr) const;
+      simmpi::ByteLatencyModel byte_latency = nullptr) const {
+    std::vector<Payload> buffers = inputs;
+    core_.run_once(std::move(latency), std::move(byte_latency), &buffers, op);
+    return buffers;
+  }
 
   /// Post one bounded-wait episode (see simmpi/resilience.hpp):
   /// per-stage deadlines, bounded resends, crash faults honoured.
@@ -165,22 +94,30 @@ class CollectiveExecutor {
   ResilientEpisodeHandle post_resilient(
       simmpi::RankContext& ctx, ReduceOp op, Payload& buffer,
       const simmpi::ResilienceOptions& options, simmpi::StallReport& report,
-      int episode = 0) const;
+      int episode = 0) const {
+    return core_.post_resilient(ctx, options, report, episode, &buffer, op);
+  }
 
   /// Nonblocking probe of a resilient episode (zero-width progress
   /// slice; only time spent inside is charged to the deadline).
-  bool test(ResilientEpisodeHandle& handle) const;
+  bool test(ResilientEpisodeHandle& handle) const {
+    return core_.test(handle);
+  }
 
   /// Drive a resilient episode to a terminal state; true when every
   /// stage completed.
-  bool wait(ResilientEpisodeHandle& handle) const;
+  bool wait(ResilientEpisodeHandle& handle) const {
+    return core_.wait(handle);
+  }
 
-  /// Blocking bounded-wait episode: exactly
-  /// wait(post_resilient(...)).
+  /// Blocking bounded-wait episode: exactly wait(post_resilient(...)).
   bool execute_resilient(simmpi::RankContext& ctx, ReduceOp op,
                          Payload& buffer,
                          const simmpi::ResilienceOptions& options,
-                         simmpi::StallReport& report, int episode = 0) const;
+                         simmpi::StallReport& report, int episode = 0) const {
+    return core_.execute_resilient(ctx, options, report, episode, &buffer,
+                                   op);
+  }
 
   /// A resilient run across all ranks: final buffers (stalled ranks
   /// keep their last consistent state) plus the finalized StallReport.
@@ -193,53 +130,17 @@ class CollectiveExecutor {
       const simmpi::ResilienceOptions& options,
       const FaultPlan& faults = {},
       simmpi::LatencyModel latency = simmpi::uniform_latency(),
-      simmpi::ByteLatencyModel byte_latency = nullptr) const;
+      simmpi::ByteLatencyModel byte_latency = nullptr) const {
+    ResilientResult result{inputs, {}};
+    result.report = core_.run_once_resilient(options, faults,
+                                             std::move(latency),
+                                             std::move(byte_latency),
+                                             &result.buffers, op);
+    return result;
+  }
 
  private:
-  struct SendOp {
-    std::size_t dst = 0;
-    std::size_t offset = 0;
-    std::size_t count = 0;
-  };
-  struct RecvOp {
-    std::size_t src = 0;
-    std::size_t offset = 0;
-    std::size_t count = 0;
-    bool combine = false;
-  };
-  struct StageOps {
-    std::vector<SendOp> sends;
-    std::vector<RecvOp> recvs;  ///< ascending src — the application order
-  };
-
-  // Spawn threads or dispatch a pool generation, per the construction
-  // options.
-  void run_episode(simmpi::Communicator& comm,
-                   const simmpi::RankFunction& fn) const;
-
-  void check_context(const simmpi::RankContext& ctx,
-                     const Payload& buffer) const;
-
-  // Copy `send`'s sub-range out of the buffer (the snapshot rule).
-  Payload send_words(const Payload& buffer, const SendOp& send) const;
-
-  // Apply the stage's received words to the buffer, ascending src.
-  void apply_stage(const StageOps& ops, const std::vector<Payload>& inbox,
-                   ReduceOp op, Payload& buffer) const;
-
-  // Snapshot + post stage `stage`'s operations into the handle (or mark
-  // it done past the last stage).
-  void begin_stage(EpisodeHandle& handle, std::size_t stage) const;
-  void begin_stage_resilient(ResilientEpisodeHandle& handle,
-                             std::size_t stage) const;
-  void progress_resilient(ResilientEpisodeHandle& handle,
-                          simmpi::Clock::duration slice) const;
-
-  std::size_t stages_ = 0;
-  std::size_t elem_count_ = 0;
-  std::vector<std::vector<StageOps>> ops_;  ///< ops_[rank][stage]
-  simmpi::ExecutorOptions options_;
-  std::unique_ptr<simmpi::RankPool> pool_;  ///< owned kPersistentPool only
+  simmpi::StagedExecutor core_;
 };
 
 }  // namespace optibar

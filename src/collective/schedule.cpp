@@ -78,20 +78,6 @@ const char* to_string(ReduceOp op) {
   OPTIBAR_FAIL("unknown ReduceOp");
 }
 
-std::uint64_t reduce_word(ReduceOp op, std::uint64_t a, std::uint64_t b) {
-  switch (op) {
-    case ReduceOp::kSum:
-      return a + b;  // wraps mod 2^64: exact and associative
-    case ReduceOp::kMin:
-      return a < b ? a : b;
-    case ReduceOp::kMax:
-      return a > b ? a : b;
-    case ReduceOp::kXor:
-      return a ^ b;
-  }
-  OPTIBAR_FAIL("unknown ReduceOp");
-}
-
 CollectiveSchedule::CollectiveSchedule(CollectiveOp op, std::size_t ranks,
                                        std::size_t elem_count,
                                        std::size_t elem_bytes,

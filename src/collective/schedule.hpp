@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "barrier/schedule.hpp"
+#include "simmpi/payload.hpp"
 
 namespace optibar {
 
@@ -46,20 +47,13 @@ enum class CollectiveOp {
 const char* to_string(CollectiveOp op);
 
 /// Exact (associative, commutative) reduction operators over 64-bit
-/// words. kSum wraps mod 2^64, so every bracketing of a reduction is
-/// bit-identical — floating-point reassociation error cannot mask a
-/// schedule bug.
-enum class ReduceOp {
-  kSum,
-  kMin,
-  kMax,
-  kXor,
-};
+/// words, shared with the executor core (simmpi/payload.hpp). kSum wraps
+/// mod 2^64, so every bracketing of a reduction is bit-identical —
+/// floating-point reassociation error cannot mask a schedule bug.
+using simmpi::ReduceOp;
+using simmpi::reduce_word;
 
 const char* to_string(ReduceOp op);
-
-/// Apply a reduction operator to two words.
-std::uint64_t reduce_word(ReduceOp op, std::uint64_t a, std::uint64_t b);
 
 /// One directed transfer within a stage: `src` sends elements
 /// [offset, offset + count) of its buffer to `dst`, which either
@@ -154,7 +148,7 @@ CollectiveSchedule from_barrier(const Schedule& schedule,
 bool is_valid_collective(const CollectiveSchedule& schedule);
 
 /// Per-rank payload buffer.
-using Payload = std::vector<std::uint64_t>;
+using simmpi::Payload;
 
 /// Reference interpreter: runs the schedule serially with the stage
 /// semantics described above and returns the final per-rank buffers.

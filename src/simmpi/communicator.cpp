@@ -227,33 +227,6 @@ void Communicator::wait_all_on(std::size_t waiter,
   }
 }
 
-bool Communicator::wait_all_on_until(std::size_t waiter,
-                                     std::span<const Request> requests,
-                                     Clock::time_point deadline) const {
-  check_rank(waiter, "waiter");
-  for (const Request& request : requests) {
-    OPTIBAR_REQUIRE(request != nullptr, "null request in wait_all_on_until");
-  }
-  Shard& shard = *shards_[shard_of(waiter)];
-  {
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    const bool all = shard.cv.wait_until(lock, deadline, [&] {
-      return std::all_of(requests.begin(), requests.end(),
-                         [](const Request& r) { return r->finished(); });
-    });
-    if (!all) {
-      return false;
-    }
-  }
-  // Everything matched within the slice; sleeping out ready_at may run
-  // past the deadline — delivery latency is simulated time the episode
-  // must pay regardless of how the wait is sliced.
-  for (const Request& request : requests) {
-    request->wait();
-  }
-  return true;
-}
-
 bool Communicator::wait_all_for(std::span<const Request> requests,
                                 Clock::duration timeout) {
   // One absolute deadline shared by every request. Requests already
@@ -453,7 +426,7 @@ bool Communicator::wait_stage_on_until(std::size_t waiter,
     std::unique_lock<std::mutex> lock(shard.mutex);
     // Flags live in the waiter's own window, i.e. in exactly the shard
     // whose mutex we hold and whose condvar every put to this rank
-    // notifies — the same single-shard park wait_all_on_until uses.
+    // notifies — the same single-shard park wait_all_on uses.
     const std::vector<RmaWord>& words = rma_words_[waiter];
     for (const FlagWait& f : flags) {
       OPTIBAR_REQUIRE(f.word < words.size(),

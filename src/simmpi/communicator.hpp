@@ -61,13 +61,10 @@
 
 #include "simmpi/fault.hpp"
 #include "simmpi/latency_model.hpp"
+#include "simmpi/payload.hpp"
 #include "simmpi/request.hpp"
 
 namespace optibar::simmpi {
-
-/// Message payload: a vector of 64-bit words (the collective layer's
-/// element type). Empty for pure signals.
-using Payload = std::vector<std::uint64_t>;
 
 /// Optional per-byte delivery cost: extra delay of a message of `bytes`
 /// payload bytes from src to dst — the runtime counterpart of the
@@ -147,18 +144,6 @@ class Communicator {
   /// `waiter`; like wait_all, this blocks forever on a dropped send.
   void wait_all_on(std::size_t waiter, std::span<const Request> requests) const;
 
-  /// One bounded progress slice of wait_all_on: park on the waiter's
-  /// shard condvar until every request has *matched* or `deadline`
-  /// passes. Returns false on the deadline with requests still
-  /// unmatched — the caller re-slices (or gives up). On true, the
-  /// simulated delivery latency (ready_at) of every request has been
-  /// slept out, exactly like wait_all_on — so a loop of slices is
-  /// observably identical to one unbounded park, which is what makes
-  /// wait(post()) bit-identical to the blocking execute().
-  bool wait_all_on_until(std::size_t waiter,
-                         std::span<const Request> requests,
-                         Clock::time_point deadline) const;
-
   /// Bounded wait over a request set: true when all completed within
   /// the budget (checked jointly, not per request). On false, some
   /// requests may still be pending — the caller decides whether to keep
@@ -230,17 +215,20 @@ class Communicator {
   /// `waiter`'s own window has arrived, or `deadline` passes (false —
   /// some flag never written, e.g. a dropped put). On true the
   /// delivery latency of the latest flag has been slept out, mirroring
-  /// wait_all_on_until's matched-then-sleep contract.
+  /// wait_stage_on_until's matched-then-sleep contract.
   bool rma_wait_until(std::size_t waiter, std::span<const FlagWait> flags,
                       Clock::time_point deadline) const;
 
-  /// Combined bounded wait of one mixed-transport stage: park on
-  /// `waiter`'s shard condvar until every request has matched *and*
-  /// every flag has arrived, or `deadline` passes. On true, both the
-  /// requests' ready_at times and the flags' visibility times have
-  /// been slept out — a loop of slices is observably identical to one
-  /// unbounded wait, which keeps handle-based execution bit-compatible
-  /// with blocking execution on mixed stages.
+  /// One bounded progress slice of a stage: park on `waiter`'s shard
+  /// condvar until every request has *matched* and every flag (there
+  /// may be none) has arrived, or `deadline` passes. Returns false on
+  /// the deadline with something still outstanding — the caller
+  /// re-slices or gives up; already-matched requests succeed even past
+  /// the deadline. On true, both the requests' ready_at times and the
+  /// flags' visibility times have been slept out, exactly like
+  /// wait_all_on — so a loop of slices is observably identical to one
+  /// unbounded wait, which is what makes wait(post()) bit-identical to
+  /// the blocking execute().
   bool wait_stage_on_until(std::size_t waiter,
                            std::span<const Request> requests,
                            std::span<const FlagWait> flags,

@@ -9,187 +9,62 @@
 //  signals according to the dependencies of the stage (with MPI_Issend),
 //  and awaiting completion of all issued requests."
 //
-// ScheduleExecutor is exactly that structure: per rank it precomputes the
-// send/recv lists of every stage from the incidence matrices. Stage
-// indices are encoded in tags so repeated barrier invocations cannot
-// cross-match.
-//
-// Execution is handle-based (the MPI_Ibarrier lifecycle):
-//
-//   EpisodeHandle h = exec.post(ctx);   // post stage 0, return at once
-//   while (!exec.test(h)) { compute();} // poll, overlap compute
-//   // or: exec.wait(h);                // finish in bounded slices
-//
-// post() issues the first stage's operations and returns immediately;
-// test() is a nonblocking probe that advances the episode through every
-// stage whose requests have all completed; wait() drives the episode to
-// completion by parking on the rank's shard condvar in bounded
-// *progress slices* (ExecutorOptions::progress_slice) instead of one
-// unbounded wait_all_on park. Each slice preserves the shard/notify
-// contract of the sharded board — the progress engine is just a sliced
-// consumer of the same condvar — so wait(post()) is observably
-// identical (bit-identical op order, tags, and matching) to the
-// blocking execute(), which is now literally implemented as
-// wait(post()).
-//
-// Mixed transports: edges the schedule tags one-sided
-// (Schedule::transport) are executed as RMA puts into the receiver's
-// window on the communicator's flag board instead of issend/irecv
-// pairs — the sender's put completes locally at issue, and the
-// receiver awaits the flag word (src/rma/layout.hpp slot layout,
-// double-buffered so back-to-back episodes need no reset barrier)
-// alongside its two-sided requests in the same progress slices. An
-// untagged schedule takes exactly the old code paths and touches no
-// window state.
+// ScheduleExecutor is the barrier view of that interpreter: it checks
+// the schedule is a barrier, translates each rank's stage rows of the
+// incidence matrices into the staged-edge core's signal edges
+// (staged_executor.hpp, count 0), and forwards the handle lifecycle —
+// post/test/wait, the resilient variants and run_once — to the core.
+// Edges the schedule tags one-sided (Schedule::transport) become RMA
+// flag puts into the receiver's window instead of issend/irecv pairs;
+// an untagged schedule touches no window state.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "barrier/schedule.hpp"
-#include "simmpi/executor_options.hpp"
-#include "simmpi/fault.hpp"
-#include "simmpi/resilience.hpp"
-#include "simmpi/runtime.hpp"
+#include "simmpi/staged_executor.hpp"
 
 namespace optibar::simmpi {
 
 class ScheduleExecutor {
  public:
-  /// One in-flight barrier episode of one rank. Move-only: the handle
-  /// owns the current stage's requests. Obtain from post(), advance
-  /// with test()/wait() on the executor that created it.
-  class EpisodeHandle {
-   public:
-    EpisodeHandle() = default;
-    EpisodeHandle(EpisodeHandle&&) = default;
-    EpisodeHandle& operator=(EpisodeHandle&&) = default;
-    EpisodeHandle(const EpisodeHandle&) = delete;
-    EpisodeHandle& operator=(const EpisodeHandle&) = delete;
+  /// One in-flight barrier episode of one rank (move-only).
+  using EpisodeHandle = StagedExecutor::EpisodeHandle;
+  /// One in-flight bounded-wait episode (see StagedExecutor).
+  using ResilientEpisodeHandle = StagedExecutor::ResilientEpisodeHandle;
 
-    /// True once every stage completed (the episode left the barrier).
-    bool done() const { return done_; }
-
-   private:
-    friend class ScheduleExecutor;
-    RankContext* ctx_ = nullptr;
-    int episode_ = 0;
-    std::size_t stage_ = 0;            ///< stage whose ops are in flight
-    std::vector<Request> requests_;    ///< current stage's requests
-    /// Awaited one-sided flags of the current stage (empty on pure
-    /// two-sided schedules).
-    std::vector<Communicator::FlagWait> flags_;
-    std::size_t rma_base_ = 0;  ///< this executor's window region base
-    bool done_ = false;
-  };
-
-  /// One in-flight bounded-wait episode. Deadlines are charged by
-  /// *elapsed progress time*: only the time actually spent inside
-  /// test()/wait() counts against the stage budget, so a rank that
-  /// computes between polls does not burn its deadline while the
-  /// network is never even looked at. Driven by the blocking
-  /// wait(handle), progress time equals wall time and the behaviour of
-  /// the old execute_resilient is preserved.
-  class ResilientEpisodeHandle {
-   public:
-    ResilientEpisodeHandle() = default;
-    ResilientEpisodeHandle(ResilientEpisodeHandle&&) = default;
-    ResilientEpisodeHandle& operator=(ResilientEpisodeHandle&&) = default;
-    ResilientEpisodeHandle(const ResilientEpisodeHandle&) = delete;
-    ResilientEpisodeHandle& operator=(const ResilientEpisodeHandle&) = delete;
-
-    /// True once the episode reached a terminal state (completed,
-    /// crashed, or gave up).
-    bool done() const { return done_ || failed_; }
-    /// True when the episode completed every stage.
-    bool succeeded() const { return done_; }
-    /// True when the episode crashed or exhausted its retries; the
-    /// rank's row of the report records where and on whom.
-    bool stalled() const { return failed_; }
-
-   private:
-    friend class ScheduleExecutor;
-    /// A send op may have several in-flight attempts (resends); it is
-    /// complete when any attempt matched.
-    struct SendOp {
-      std::size_t dst;
-      std::vector<Request> attempts;
-      bool done = false;
-    };
-    struct RecvOp {
-      std::size_t src;
-      Request request;
-      bool done = false;
-    };
-    /// An awaited one-sided flag. Unlike a SendOp there is nothing to
-    /// retry: the *sender* completed at issue and never learns of a
-    /// drop, so on exhaustion the receiver reports pending_put_from.
-    struct FlagOp {
-      std::size_t src;
-      std::size_t word;
-      bool done = false;
-    };
-
-    RankContext* ctx_ = nullptr;
-    StallReport* report_ = nullptr;  ///< caller-owned, must outlive handle
-    ResilienceOptions options_;
-    int episode_ = 0;
-    std::size_t crash_at_ = 0;
-    std::size_t stage_ = 0;
-    std::vector<SendOp> sends_;
-    std::vector<RecvOp> recvs_;
-    std::vector<FlagOp> flags_;
-    std::size_t rma_base_ = 0;
-    std::size_t attempt_ = 0;
-    Clock::duration budget_{};    ///< current attempt's deadline budget
-    Clock::duration consumed_{};  ///< progress time charged so far
-    bool done_ = false;
-    bool failed_ = false;
-  };
-
-  /// Precompute per-rank op lists. The schedule must be a valid barrier
-  /// (checked: executing a non-barrier would not synchronize, and some
-  /// non-barriers deadlock the synchronized sends). options.validate()
-  /// runs here, like EngineOptions at the engine boundary. With
-  /// ExecutionMode::kPersistentPool (and no shared_pool) the executor
-  /// owns a RankPool of ranks() parked workers and
-  /// run_once/run_once_resilient dispatch generations instead of
-  /// spawning threads; with options.shared_pool set, generations
-  /// dispatch on the caller's pool instead.
+  /// Precompute per-rank signal edges. The schedule must be a valid
+  /// barrier (checked: executing a non-barrier would not synchronize,
+  /// and some non-barriers deadlock the synchronized sends);
+  /// options.validate() runs too. Pool semantics: an owned RankPool
+  /// with ExecutionMode::kPersistentPool, or the caller's shared_pool.
   explicit ScheduleExecutor(const Schedule& schedule,
                             const ExecutorOptions& options = {});
 
-  /// Deprecated: use ScheduleExecutor(schedule, ExecutorOptions{.mode =
-  /// mode}). Thin forward kept for source compatibility.
-  [[deprecated("pass ExecutorOptions instead of a bare ExecutionMode")]]
-  ScheduleExecutor(const Schedule& schedule, ExecutionMode mode);
+  std::size_t ranks() const { return core_.ranks(); }
+  std::size_t stage_count() const { return core_.stage_count(); }
+  const ExecutorOptions& options() const { return core_.options(); }
 
-  std::size_t ranks() const { return ops_.size(); }
-  std::size_t stage_count() const { return stages_; }
-  const ExecutorOptions& options() const { return options_; }
+  /// Post one barrier episode for this rank: issue stage 0 and return.
+  /// `episode` distinguishes repeated invocations in the tag space.
+  EpisodeHandle post(RankContext& ctx, int episode = 0) const {
+    return core_.post(ctx, episode);
+  }
 
-  /// Post one barrier episode for this rank: issue stage 0's operations
-  /// and return without waiting. `episode` distinguishes repeated
-  /// invocations in the tag space.
-  EpisodeHandle post(RankContext& ctx, int episode = 0) const;
+  /// Nonblocking probe (MPI_Test): advance through every completed
+  /// stage; returns whether the episode is done.
+  bool test(EpisodeHandle& handle) const { return core_.test(handle); }
 
-  /// Nonblocking probe: advance the episode through every stage whose
-  /// requests have all completed (posting the next stage's operations
-  /// as each one finishes), and return whether the episode is done.
-  /// The MPI_Test analogue — call between compute blocks to overlap.
-  bool test(EpisodeHandle& handle) const;
+  /// Drive the episode to completion in bounded progress slices.
+  void wait(EpisodeHandle& handle) const { core_.wait(handle); }
 
-  /// Drive the episode to completion in bounded progress slices
-  /// (options().progress_slice per park). Equivalent to looping test(),
-  /// but parks on the rank's shard condvar between probes instead of
-  /// spinning.
-  void wait(EpisodeHandle& handle) const;
-
-  /// Execute one barrier episode for `rank`: exactly wait(post(ctx,
-  /// episode)). Kept as the convenience blocking form.
-  void execute(RankContext& ctx, int episode = 0) const;
+  /// Blocking barrier episode: exactly wait(post(ctx, episode)).
+  void execute(RankContext& ctx, int episode = 0) const {
+    core_.execute(ctx, episode);
+  }
 
   /// Run one full barrier across all ranks of a fresh communicator.
   /// Each rank optionally sleeps for its entry delay first (the paper's
@@ -197,89 +72,59 @@ class ScheduleExecutor {
   /// wall-clock exit time relative to the common start.
   std::vector<std::chrono::nanoseconds> run_once(
       LatencyModel latency = uniform_latency(),
-      std::vector<std::chrono::nanoseconds> entry_delays = {}) const;
+      std::vector<std::chrono::nanoseconds> entry_delays = {}) const {
+    return core_.run_once(std::move(latency), nullptr, nullptr,
+                          ReduceOp::kSum, entry_delays);
+  }
 
   /// Post one bounded-wait episode (see resilience.hpp): per-stage
   /// deadlines, bounded resends of unacked Issends, crash faults
   /// honoured. `report` must have been reset(ranks(), stage_count()) by
-  /// the caller and outlive the handle; each rank writes only its own
-  /// row, so concurrent rank threads may share one report.
+  /// the caller and outlive the handle.
   ResilientEpisodeHandle post_resilient(RankContext& ctx,
                                         const ResilienceOptions& options,
                                         StallReport& report,
-                                        int episode = 0) const;
+                                        int episode = 0) const {
+    return core_.post_resilient(ctx, options, report, episode);
+  }
 
   /// As above with the executor's own options().resilience knobs.
   ResilientEpisodeHandle post_resilient(RankContext& ctx, StallReport& report,
-                                        int episode = 0) const;
+                                        int episode = 0) const {
+    return post_resilient(ctx, options().resilience, report, episode);
+  }
 
-  /// Nonblocking probe of a resilient episode: one zero-width progress
-  /// slice. Only the time spent inside the call is charged against the
-  /// stage deadline. Returns handle.done().
-  bool test(ResilientEpisodeHandle& handle) const;
+  /// One zero-width progress slice; returns handle.done().
+  bool test(ResilientEpisodeHandle& handle) const {
+    return core_.test(handle);
+  }
 
-  /// Drive a resilient episode to a terminal state in bounded progress
-  /// slices; returns true when every stage completed, false when the
-  /// rank crashed or gave up (the report records where).
-  bool wait(ResilientEpisodeHandle& handle) const;
+  /// Drive to a terminal state; true when every stage completed, false
+  /// when the rank crashed or gave up (the report records where).
+  bool wait(ResilientEpisodeHandle& handle) const {
+    return core_.wait(handle);
+  }
 
   /// Blocking bounded-wait episode: exactly
   /// wait(post_resilient(ctx, options, report, episode)).
   bool execute_resilient(RankContext& ctx, const ResilienceOptions& options,
-                         StallReport& report, int episode = 0) const;
+                         StallReport& report, int episode = 0) const {
+    return core_.execute_resilient(ctx, options, report, episode);
+  }
 
   /// Run one bounded-wait barrier across all ranks of a fresh
   /// communicator with `faults` attached, and return the finalized
-  /// StallReport. Never hangs and never leaks rank threads: every rank
-  /// either completes or reports.
+  /// StallReport. Never hangs and never leaks rank threads.
   StallReport run_once_resilient(const ResilienceOptions& options,
                                  const FaultPlan& faults = {},
                                  LatencyModel latency =
-                                     uniform_latency()) const;
+                                     uniform_latency()) const {
+    return core_.run_once_resilient(options, faults, std::move(latency),
+                                    nullptr, nullptr, ReduceOp::kSum);
+  }
 
  private:
-  struct StageOps {
-    std::vector<std::size_t> send_to;    ///< two-sided targets
-    std::vector<std::size_t> recv_from;  ///< two-sided sources
-    std::vector<std::size_t> put_to;     ///< one-sided targets (RMA put)
-    std::vector<std::size_t> flag_from;  ///< one-sided sources (flag poll)
-  };
-
-  // Spawn threads or dispatch a pool generation, per the construction
-  // options.
-  void run_episode(Communicator& comm, const RankFunction& fn) const;
-
-  // Issue stage `stage`'s operations (sends before recvs — the same
-  // order execute() always used) into the handle.
-  void begin_stage(EpisodeHandle& handle, std::size_t stage) const;
-
-  // Enter stage `stage` of a resilient episode: honour crash faults,
-  // post the stage's ops, arm the first attempt's budget.
-  void begin_stage_resilient(ResilientEpisodeHandle& handle,
-                             std::size_t stage) const;
-
-  // One bounded progress slice of a resilient episode: wait the current
-  // stage's requests against min(slice, remaining budget), charge the
-  // elapsed time, then advance / retry / give up.
-  void progress_resilient(ResilientEpisodeHandle& handle,
-                          Clock::duration slice) const;
-
-  void check_context(const RankContext& ctx) const;
-
-  // Lazily attach this executor's window region on ctx's communicator
-  // (memoized per communicator via rma_region keyed on `this`) and
-  // return its base. Only called when the schedule has one-sided
-  // edges; episodes on one communicator must then use distinct,
-  // non-negative episode numbers (the epoch double-buffering contract,
-  // src/rma/layout.hpp — same uniqueness the two-sided tag space
-  // already requires).
-  std::size_t rma_base(RankContext& ctx, int episode) const;
-
-  std::size_t stages_ = 0;
-  std::vector<std::vector<StageOps>> ops_;  ///< ops_[rank][stage]
-  ExecutorOptions options_;
-  bool has_one_sided_ = false;  ///< any put_to nonempty anywhere
-  std::unique_ptr<RankPool> pool_;  ///< owned kPersistentPool only
+  StagedExecutor core_;
 };
 
 }  // namespace optibar::simmpi

@@ -57,15 +57,6 @@ class RankContext {
     comm_->wait_all_on(rank_, requests);
   }
 
-  /// One bounded progress slice of the batched wait: park until all
-  /// requests have matched or `deadline` passes
-  /// (Communicator::wait_all_on_until). The nonblocking executors'
-  /// wait(handle) loops this instead of blocking forever.
-  bool wait_all_batched_until(std::span<const Request> requests,
-                              Clock::time_point deadline) const {
-    return comm_->wait_all_on_until(rank_, requests, deadline);
-  }
-
   /// One-sided flag store into `dst`'s window (fire-and-forget;
   /// Communicator::rma_put). `stage` feeds fault-plan matching.
   void rma_put(std::size_t dst, std::size_t word, std::uint64_t value,

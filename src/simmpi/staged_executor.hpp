@@ -1,0 +1,284 @@
+// The staged-edge executor core: the one interpreter behind
+// ScheduleExecutor (barriers) and CollectiveExecutor (collectives).
+//
+// Section VI's interpreter is one loop: each rank walks the stages,
+// issues the stage's signals and awaits them. A barrier is a
+// zero-payload collective (from_barrier), so one loop serves both. Per
+// rank and stage the core holds one outgoing and one incoming edge
+// list. An edge names its peer, the payload sub-range it carries
+// (count 0: a pure signal that moves no words) and its transport: a
+// synchronized issend/irecv pair, or a one-sided put of a flag word
+// into the receiver's window (src/rma/layout.hpp slot layout,
+// double-buffered so back-to-back episodes need no reset barrier).
+// The views translate their schedules into this table and forward.
+//
+// Execution is handle-based (the MPI_Ibarrier / MPI_Iallreduce
+// lifecycle):
+//
+//   EpisodeHandle h = core.post(ctx, episode);  // issue stage 0
+//   while (!core.test(h)) { compute(); }        // poll, overlap compute
+//   // or: core.wait(h);                        // finish in slices
+//
+// Stage issue posts sends, then puts, then recvs. Outgoing words are
+// copied out of the buffer at stage entry, before anything of the stage
+// lands (the snapshot rule); received words are applied in ascending
+// source order once the whole stage completed, so a valid collective is
+// bit-exact against execute_serial(). wait() parks on the rank's shard
+// condvar in bounded progress slices (ExecutorOptions::progress_slice);
+// a loop of slices consumes the same matches as one unbounded park, so
+// execute() is literally wait(post()).
+//
+// The resilient lifecycle (resilience.hpp) runs the same stages with
+// per-stage deadlines charged by elapsed progress time, bounded resends
+// of unacked Issends (re-read from the buffer, which is untouched until
+// the stage completes), crash faults, and a StallReport instead of a
+// hang.
+//
+// Tags are episode * stages + stage, so repeated episodes cannot
+// cross-match; post() rejects an episode whose tags would overflow int.
+#pragma once
+
+#include <chrono>
+#include <cstddef>
+#include <memory>
+#include <vector>
+
+#include "simmpi/executor_options.hpp"
+#include "simmpi/fault.hpp"
+#include "simmpi/resilience.hpp"
+#include "simmpi/runtime.hpp"
+
+namespace optibar::simmpi {
+
+/// One edge of one rank's stage, seen from that rank.
+struct StagedEdge {
+  std::size_t peer = 0;    ///< destination (outgoing) or source (incoming)
+  std::size_t offset = 0;  ///< first buffer word of the carried sub-range
+  std::size_t count = 0;   ///< words carried; 0 = pure signal
+  bool combine = false;    ///< incoming: reduce into the buffer, else overwrite
+  bool put = false;        ///< one-sided flag put instead of issend/irecv
+};
+
+/// One rank's stage.
+struct StageEdges {
+  std::vector<StagedEdge> out;  ///< issue order within each transport
+  std::vector<StagedEdge> in;   ///< ascending source: the apply order
+};
+
+class StagedExecutor {
+ public:
+  /// table[rank][stage].
+  using Table = std::vector<std::vector<StageEdges>>;
+
+  /// One in-flight episode of one rank. Move-only: the handle owns the
+  /// current stage's requests and inbox. A buffer passed to post() is
+  /// transformed in place and must stay alive (at a stable address)
+  /// until the episode is done.
+  class EpisodeHandle {
+   public:
+    EpisodeHandle() = default;
+    EpisodeHandle(EpisodeHandle&&) = default;
+    EpisodeHandle& operator=(EpisodeHandle&&) = default;
+    EpisodeHandle(const EpisodeHandle&) = delete;
+    EpisodeHandle& operator=(const EpisodeHandle&) = delete;
+
+    /// True once every stage completed.
+    bool done() const { return done_; }
+
+   private:
+    friend class StagedExecutor;
+    RankContext* ctx_ = nullptr;
+    Payload* buffer_ = nullptr;  ///< null on signal-only executors
+    ReduceOp op_ = ReduceOp::kSum;
+    int episode_ = 0;
+    std::size_t stage_ = 0;          ///< stage whose ops are in flight
+    std::vector<Request> requests_;  ///< current stage's two-sided ops
+    /// Awaited one-sided flags of the current stage.
+    std::vector<Communicator::FlagWait> flags_;
+    /// Landing zone of the current stage's payload receives, indexed
+    /// like the stage's incoming edges (stable element addresses across
+    /// handle moves); empty on signal-only stages.
+    std::vector<Payload> inbox_;
+    std::size_t rma_base_ = 0;  ///< this executor's window region base
+    bool done_ = false;
+  };
+
+  /// One in-flight bounded-wait episode. Deadlines are charged by
+  /// *elapsed progress time*: only the time spent inside test()/wait()
+  /// counts against the stage budget, so a rank that computes between
+  /// polls does not burn its deadline. Driven by the blocking wait(),
+  /// progress time equals wall time.
+  class ResilientEpisodeHandle {
+   public:
+    ResilientEpisodeHandle() = default;
+    ResilientEpisodeHandle(ResilientEpisodeHandle&&) = default;
+    ResilientEpisodeHandle& operator=(ResilientEpisodeHandle&&) = default;
+    ResilientEpisodeHandle(const ResilientEpisodeHandle&) = delete;
+    ResilientEpisodeHandle& operator=(const ResilientEpisodeHandle&) = delete;
+
+    /// True once the episode reached a terminal state (completed,
+    /// crashed, or gave up).
+    bool done() const { return done_ || failed_; }
+    /// True when the episode completed every stage.
+    bool succeeded() const { return done_; }
+    /// True when the episode crashed or exhausted its retries; the
+    /// rank's row of the report records where and on whom.
+    bool stalled() const { return failed_; }
+
+   private:
+    friend class StagedExecutor;
+    /// A send may have several in-flight attempts (resends); it is
+    /// complete when any attempt matched.
+    struct SendOp {
+      const StagedEdge* edge;
+      std::vector<Request> attempts;
+      bool done = false;
+    };
+    struct RecvOp {
+      std::size_t src;
+      Request request;
+      bool done = false;
+    };
+    /// An awaited one-sided flag. Nothing to retry: the *sender*
+    /// completed at issue and never learns of a drop, so on exhaustion
+    /// the receiver reports pending_put_from.
+    struct FlagOp {
+      std::size_t src;
+      std::size_t word;
+      bool done = false;
+    };
+
+    RankContext* ctx_ = nullptr;
+    StallReport* report_ = nullptr;  ///< caller-owned, must outlive handle
+    ResilienceOptions options_;
+    Payload* buffer_ = nullptr;
+    ReduceOp op_ = ReduceOp::kSum;
+    int episode_ = 0;
+    std::size_t crash_at_ = 0;
+    std::size_t stage_ = 0;
+    std::vector<SendOp> sends_;
+    std::vector<RecvOp> recvs_;
+    std::vector<FlagOp> flags_;
+    /// Shared with the communicator (keepalive): a late sender can still
+    /// deliver into storage that outlives a given-up receive. Null on
+    /// signal-only stages.
+    std::shared_ptr<std::vector<Payload>> inbox_;
+    std::size_t rma_base_ = 0;
+    std::size_t attempt_ = 0;
+    Clock::duration budget_{};    ///< current attempt's deadline budget
+    Clock::duration consumed_{};  ///< progress time charged so far
+    bool done_ = false;
+    bool failed_ = false;
+  };
+
+  /// `table` holds `stages` StageEdges per rank; post() requires a
+  /// buffer of `elem_count` words (none when 0). options.validate()
+  /// runs here. With ExecutionMode::kPersistentPool (and no
+  /// shared_pool) the core owns a RankPool of ranks() parked workers;
+  /// with options.shared_pool set, episodes dispatch on that pool.
+  StagedExecutor(Table table, std::size_t stages, std::size_t elem_count,
+                 const ExecutorOptions& options);
+
+  std::size_t ranks() const { return table_.size(); }
+  std::size_t stage_count() const { return stages_; }
+  const ExecutorOptions& options() const { return options_; }
+
+  /// Issue stage 0 of one episode and return without waiting.
+  /// `episode` distinguishes repeated invocations in the tag space.
+  EpisodeHandle post(RankContext& ctx, int episode, Payload* buffer = nullptr,
+                     ReduceOp op = ReduceOp::kSum) const;
+
+  /// Nonblocking probe: advance through every stage whose requests and
+  /// flags all completed; returns whether the episode is done.
+  bool test(EpisodeHandle& handle) const;
+
+  /// Drive the episode to completion in bounded progress slices.
+  void wait(EpisodeHandle& handle) const;
+
+  /// Exactly wait(post(...)).
+  void execute(RankContext& ctx, int episode, Payload* buffer = nullptr,
+               ReduceOp op = ReduceOp::kSum) const;
+
+  /// Post one bounded-wait episode. `report` must have been
+  /// reset(ranks(), stage_count()) and outlive the handle; each rank
+  /// writes only its own row, so rank threads may share one report.
+  ResilientEpisodeHandle post_resilient(RankContext& ctx,
+                                        const ResilienceOptions& options,
+                                        StallReport& report, int episode,
+                                        Payload* buffer = nullptr,
+                                        ReduceOp op = ReduceOp::kSum) const;
+
+  /// One zero-width progress slice; returns handle.done().
+  bool test(ResilientEpisodeHandle& handle) const;
+
+  /// Drive to a terminal state; true when every stage completed.
+  bool wait(ResilientEpisodeHandle& handle) const;
+
+  /// Exactly wait(post_resilient(...)).
+  bool execute_resilient(RankContext& ctx, const ResilienceOptions& options,
+                         StallReport& report, int episode,
+                         Payload* buffer = nullptr,
+                         ReduceOp op = ReduceOp::kSum) const;
+
+  /// One episode (number 0) across all ranks of a fresh communicator.
+  /// `buffers` (ranks() of them, or null when elem_count is 0) are
+  /// transformed in place. Each rank first sleeps its entry delay, if
+  /// any; returns each rank's exit time relative to the common start.
+  std::vector<std::chrono::nanoseconds> run_once(
+      LatencyModel latency, ByteLatencyModel byte_latency,
+      std::vector<Payload>* buffers, ReduceOp op,
+      const std::vector<std::chrono::nanoseconds>& entry_delays = {}) const;
+
+  /// One bounded-wait episode across all ranks of a fresh communicator
+  /// with `faults` attached; returns the finalized report. Never hangs
+  /// and never leaks rank threads. Stalled ranks keep their buffers at
+  /// the last completed stage.
+  StallReport run_once_resilient(const ResilienceOptions& options,
+                                 const FaultPlan& faults, LatencyModel latency,
+                                 ByteLatencyModel byte_latency,
+                                 std::vector<Payload>* buffers,
+                                 ReduceOp op) const;
+
+ private:
+  void check_context(const RankContext& ctx, const Payload* buffer) const;
+  void check_episode(int episode) const;
+  int tag(int episode, std::size_t stage) const;
+
+  // Lazily attach this executor's window region on ctx's communicator
+  // (memoized per communicator, keyed on `this`) and return its base.
+  // Only on executors with one-sided edges, whose episodes must then be
+  // distinct and non-negative (the epoch double-buffering contract).
+  std::size_t rma_base(RankContext& ctx, int episode) const;
+  // Window word (region `base`) of the flag `src` puts in `stage`.
+  std::size_t flag_word(std::size_t base, int episode, std::size_t stage,
+                        std::size_t src) const;
+  // Issue the stage's one-sided flag puts.
+  void issue_puts(RankContext& ctx, const StageEdges& edges,
+                  std::size_t stage, int episode, std::size_t base) const;
+
+  // Spawn threads or dispatch a pool generation, per the options.
+  void run_episode(Communicator& comm, const RankFunction& fn) const;
+
+  // Issue stage `stage` into the handle, or mark it done past the last.
+  void begin_stage(EpisodeHandle& handle, std::size_t stage) const;
+  // Same for a resilient episode: honour crash faults, arm the budget.
+  void begin_stage_resilient(ResilientEpisodeHandle& handle,
+                             std::size_t stage) const;
+  // The current stage completed: apply its received words, then issue
+  // the next stage.
+  void advance(EpisodeHandle& handle) const;
+  // One bounded progress slice of a resilient episode: wait the stage
+  // against min(slice, remaining budget), charge the elapsed time, then
+  // advance / retry / give up.
+  void progress_resilient(ResilientEpisodeHandle& handle,
+                          Clock::duration slice) const;
+
+  Table table_;
+  std::size_t stages_ = 0;
+  std::size_t elem_count_ = 0;
+  ExecutorOptions options_;
+  bool has_one_sided_ = false;      ///< any put edge anywhere
+  std::unique_ptr<RankPool> pool_;  ///< owned kPersistentPool only
+};
+
+}  // namespace optibar::simmpi

@@ -181,8 +181,11 @@ void ThreadPool::TaskGroup::record_error(std::exception_ptr error) {
 }
 
 void ThreadPool::TaskGroup::finish_one() {
+  // Decrement under the mutex: wait() takes it before returning, so the
+  // group — often a caller's stack object — cannot be destroyed while
+  // this worker still touches its mutex or condvar.
+  std::lock_guard<std::mutex> lock(mutex_);
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(mutex_);
     cv_.notify_all();
   }
 }

@@ -1,12 +1,6 @@
 // Tests for the C API: handle lifecycle, plan extraction, error paths,
 // and — the crucial semantic check — replaying a plan's per-rank op
 // sequences through the MPI-like runtime synchronizes correctly.
-//
-// The errbuf signatures are deprecated but must keep working until
-// removed, so this suite exercises them on purpose.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
 #include "capi/optibar.h"
 
 #include <gtest/gtest.h>
@@ -37,8 +31,8 @@ class CapiTest : public ::testing::Test {
                 .string();
     const MachineSpec m = quad_cluster(2);
     generate_profile(m, round_robin_mapping(m, 16)).save_file(path_);
-    library_ = optibar_open(path_.c_str(), errbuf_, sizeof errbuf_);
-    ASSERT_NE(library_, nullptr) << errbuf_;
+    library_ = optibar_open_v2(path_.c_str(), 1);
+    ASSERT_NE(library_, nullptr) << optibar_last_error();
   }
   void TearDown() override {
     optibar_close(library_);
@@ -47,19 +41,18 @@ class CapiTest : public ::testing::Test {
 
   std::string path_;
   optibar_library* library_ = nullptr;
-  char errbuf_[256] = {};
 };
 
 TEST(Capi, OpenRejectsMissingFile) {
-  char errbuf[128] = {};
-  EXPECT_EQ(optibar_open("/nonexistent/profile.txt", errbuf, sizeof errbuf),
-            nullptr);
-  EXPECT_NE(std::string(errbuf).find("cannot open"), std::string::npos);
+  EXPECT_EQ(optibar_open_v2("/nonexistent/profile.txt", 1), nullptr);
+  EXPECT_EQ(optibar_last_status(), OPTIBAR_ERR_IO);
+  EXPECT_NE(std::string(optibar_last_error()).find("cannot open"),
+            std::string::npos);
 }
 
 TEST(Capi, OpenRejectsNullPath) {
-  char errbuf[128] = {};
-  EXPECT_EQ(optibar_open(nullptr, errbuf, sizeof errbuf), nullptr);
+  EXPECT_EQ(optibar_open_v2(nullptr, 1), nullptr);
+  EXPECT_EQ(optibar_last_status(), OPTIBAR_ERR_INVALID_ARGUMENT);
 }
 
 TEST(Capi, NullHandleAccessorsAreSafe) {
@@ -75,9 +68,8 @@ TEST_F(CapiTest, ReportsRankCount) {
 }
 
 TEST_F(CapiTest, WorldPlanHasSaneShape) {
-  const optibar_plan* plan =
-      optibar_world_plan(library_, errbuf_, sizeof errbuf_);
-  ASSERT_NE(plan, nullptr) << errbuf_;
+  const optibar_plan* plan = optibar_world_plan_v2(library_);
+  ASSERT_NE(plan, nullptr) << optibar_last_error();
   EXPECT_EQ(optibar_plan_ranks(plan), 16u);
   EXPECT_GT(optibar_plan_stage_count(plan), 0u);
   EXPECT_GT(optibar_plan_predicted_seconds(plan), 0.0);
@@ -91,13 +83,13 @@ TEST_F(CapiTest, WorldPlanHasSaneShape) {
 }
 
 TEST_F(CapiTest, RepeatedWorldPlansAreCached) {
-  const optibar_plan* a = optibar_world_plan(library_, nullptr, 0);
-  const optibar_plan* b = optibar_world_plan(library_, nullptr, 0);
+  const optibar_plan* a = optibar_world_plan_v2(library_);
+  const optibar_plan* b = optibar_world_plan_v2(library_);
   EXPECT_EQ(a, b);
 }
 
 TEST_F(CapiTest, OpsEndEachStageWithWaitAll) {
-  const optibar_plan* plan = optibar_world_plan(library_, nullptr, 0);
+  const optibar_plan* plan = optibar_world_plan_v2(library_);
   ASSERT_NE(plan, nullptr);
   for (std::size_t r = 0; r < 16; ++r) {
     const std::size_t n = optibar_plan_op_count(plan, r);
@@ -117,7 +109,7 @@ TEST_F(CapiTest, OpsEndEachStageWithWaitAll) {
 }
 
 TEST_F(CapiTest, PlanOpsTruncateToCapacity) {
-  const optibar_plan* plan = optibar_world_plan(library_, nullptr, 0);
+  const optibar_plan* plan = optibar_world_plan_v2(library_);
   std::vector<optibar_op> one(1);
   EXPECT_EQ(optibar_plan_ops(plan, 0, one.data(), 1), 1u);
   EXPECT_EQ(optibar_plan_ops(plan, 0, nullptr, 8), 0u);
@@ -126,9 +118,8 @@ TEST_F(CapiTest, PlanOpsTruncateToCapacity) {
 
 TEST_F(CapiTest, SubsetPlanUsesLocalNumbering) {
   const std::size_t subset[] = {0, 2, 4, 6};
-  const optibar_plan* plan =
-      optibar_subset_plan(library_, subset, 4, errbuf_, sizeof errbuf_);
-  ASSERT_NE(plan, nullptr) << errbuf_;
+  const optibar_plan* plan = optibar_subset_plan_v2(library_, subset, 4);
+  ASSERT_NE(plan, nullptr) << optibar_last_error();
   EXPECT_EQ(optibar_plan_ranks(plan), 4u);
   for (std::size_t r = 0; r < 4; ++r) {
     const std::size_t n = optibar_plan_op_count(plan, r);
@@ -143,15 +134,14 @@ TEST_F(CapiTest, SubsetPlanUsesLocalNumbering) {
 
 TEST_F(CapiTest, SubsetPlanRejectsBadSubsets) {
   const std::size_t dup[] = {1, 1};
-  EXPECT_EQ(optibar_subset_plan(library_, dup, 2, errbuf_, sizeof errbuf_),
-            nullptr);
-  EXPECT_NE(std::string(errbuf_).find("duplicate"), std::string::npos);
+  EXPECT_EQ(optibar_subset_plan_v2(library_, dup, 2), nullptr);
+  EXPECT_NE(std::string(optibar_last_error()).find("duplicate"),
+            std::string::npos);
   const std::size_t oob[] = {0, 99};
-  EXPECT_EQ(optibar_subset_plan(library_, oob, 2, errbuf_, sizeof errbuf_),
-            nullptr);
-  EXPECT_EQ(optibar_subset_plan(library_, nullptr, 2, errbuf_,
-                                sizeof errbuf_),
-            nullptr);
+  EXPECT_EQ(optibar_subset_plan_v2(library_, oob, 2), nullptr);
+  EXPECT_GT(std::strlen(optibar_last_error()), 0u);
+  EXPECT_EQ(optibar_subset_plan_v2(library_, nullptr, 2), nullptr);
+  EXPECT_EQ(optibar_last_status(), OPTIBAR_ERR_INVALID_ARGUMENT);
 }
 
 TEST(CapiStatus, StatusStringsAreStable) {
@@ -192,14 +182,10 @@ TEST_F(CapiTest, SuccessResetsStatusAndMessage) {
   EXPECT_STREQ(optibar_last_error(), "");
 }
 
-TEST_F(CapiTest, V2AndLegacyReturnTheSamePlan) {
-  const optibar_plan* v2 = optibar_world_plan_v2(library_);
-  const optibar_plan* legacy =
-      optibar_world_plan(library_, errbuf_, sizeof errbuf_);
-  EXPECT_EQ(v2, legacy);
+TEST_F(CapiTest, RepeatedSubsetPlansAreCached) {
   const std::size_t subset[] = {0, 2, 4};
   EXPECT_EQ(optibar_subset_plan_v2(library_, subset, 3),
-            optibar_subset_plan(library_, subset, 3, nullptr, 0));
+            optibar_subset_plan_v2(library_, subset, 3));
 }
 
 TEST_F(CapiTest, SubsetV2ClassifiesCallerErrors) {
@@ -213,18 +199,6 @@ TEST_F(CapiTest, SubsetV2ClassifiesCallerErrors) {
   EXPECT_EQ(optibar_last_status(), OPTIBAR_ERR_INVALID_ARGUMENT);
   EXPECT_EQ(optibar_subset_plan_v2(library_, nullptr, 2), nullptr);
   EXPECT_EQ(optibar_last_status(), OPTIBAR_ERR_INVALID_ARGUMENT);
-}
-
-TEST_F(CapiTest, ErrbufTruncationIsNulTerminated) {
-  char tiny[8];
-  std::memset(tiny, 'x', sizeof tiny);
-  const std::size_t oob[] = {0, 99};
-  EXPECT_EQ(optibar_subset_plan(library_, oob, 2, tiny, sizeof tiny),
-            nullptr);
-  EXPECT_EQ(tiny[sizeof tiny - 1], '\0');  // truncated, still terminated
-  EXPECT_LT(std::strlen(tiny), sizeof tiny);
-  // The full message survives in the thread-local channel.
-  EXPECT_GT(std::strlen(optibar_last_error()), std::strlen(tiny));
 }
 
 TEST_F(CapiTest, OutOfRangeRankSetsStatus) {
@@ -291,7 +265,7 @@ TEST_F(CapiTest, ReplayingPlanOpsSynchronizes) {
   // The contract: a C MPI program replays ops with Issend/Irecv/Waitall.
   // Do exactly that against the in-process runtime and verify clean
   // completion across repeated episodes.
-  const optibar_plan* plan = optibar_world_plan(library_, nullptr, 0);
+  const optibar_plan* plan = optibar_world_plan_v2(library_);
   ASSERT_NE(plan, nullptr);
   const int stages = static_cast<int>(optibar_plan_stage_count(plan));
 
@@ -476,7 +450,7 @@ TEST_F(CapiTest, TuneHybridV2ReportsTransportAndCost) {
     EXPECT_GT(signals, 0u);
   }
   // The picked transport never loses to the classic world plan.
-  const optibar_plan* plan = optibar_world_plan(library_, nullptr, 0);
+  const optibar_plan* plan = optibar_world_plan_v2(library_);
   ASSERT_NE(plan, nullptr);
   EXPECT_LE(seconds, optibar_plan_predicted_seconds(plan));
   // Out parameters are optional.

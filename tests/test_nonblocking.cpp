@@ -1,14 +1,16 @@
 // Tests for the handle-based nonblocking execution lifecycle:
 // post/test/wait on the barrier and collective executors, the
-// equivalence wait(post()) == execute(), ExecutorOptions validation,
-// elapsed-progress-time resilient handles, and Request::test()-style
-// polling under fault-injected delay/duplicate plans on both board
-// modes.
+// equivalence wait(post()) == execute(), the episode tag range,
+// ExecutorOptions validation, elapsed-progress-time resilient handles,
+// and Request::test()-style polling under fault-injected
+// delay/duplicate plans on both board modes.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstddef>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -118,6 +120,103 @@ TEST(NonblockingBarrier, ConcurrentEpisodesInterleave) {
       std::this_thread::yield();
     }
   });
+}
+
+// ---- episode tag range -------------------------------------------------
+
+// Tags are episode * stages + stage in int: the largest episode whose
+// last stage's tag still fits.
+int last_fitting_episode(std::size_t stages) {
+  const long long s = static_cast<long long>(stages);
+  return static_cast<int>((INT_MAX - (s - 1)) / s);
+}
+
+// `post(episode)` must throw an Error naming the episode and post
+// nothing.
+template <class Post>
+void expect_episode_rejected(Communicator& comm, int episode, Post post) {
+  try {
+    post(episode);
+    ADD_FAILURE() << "episode " << episode << " was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("episode " +
+                                         std::to_string(episode)),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(comm.unmatched_operations(), 0u);
+}
+
+TEST(EpisodeTags, BarrierRunsTheLastFittingEpisodeAndRejectsTheNext) {
+  const ScheduleExecutor executor(dissemination_barrier(5));
+  const std::size_t p = executor.ranks();
+  const int last = last_fitting_episode(executor.stage_count());
+  simmpi::StallReport report;
+  report.reset(p, executor.stage_count());
+  Communicator plain(p);
+  simmpi::run_ranks(plain, [&](RankContext& ctx) {
+    executor.execute(ctx, last);
+  });
+  EXPECT_EQ(plain.unmatched_operations(), 0u);
+  Communicator resilient(p);
+  simmpi::run_ranks(resilient, [&](RankContext& ctx) {
+    EXPECT_TRUE(executor.execute_resilient(
+        ctx, executor.options().resilience, report, last));
+  });
+
+  Communicator idle(p);
+  RankContext ctx(idle, 0);
+  for (const int episode : {last + 1, INT_MIN}) {
+    expect_episode_rejected(idle, episode,
+                            [&](int e) { executor.post(ctx, e); });
+    expect_episode_rejected(idle, episode, [&](int e) {
+      executor.post_resilient(ctx, report, e);
+    });
+  }
+}
+
+TEST(EpisodeTags, CollectiveRunsTheLastFittingEpisodeAndRejectsTheNext) {
+  const std::size_t p = 5;
+  const CollectiveSchedule schedule = recursive_doubling_allreduce(p, 3, 8);
+  const CollectiveExecutor executor(schedule);
+  const int last = last_fitting_episode(executor.stage_count());
+  std::vector<Payload> inputs(p, Payload(3));
+  for (std::size_t r = 0; r < p; ++r) {
+    inputs[r] = {r, 10 * r, 100 * r};
+  }
+  const std::vector<Payload> expected =
+      execute_serial(schedule, ReduceOp::kSum, inputs);
+  std::vector<Payload> buffers = inputs;
+  Communicator plain(p);
+  simmpi::run_ranks(plain, [&](RankContext& ctx) {
+    executor.execute(ctx, ReduceOp::kSum, buffers[ctx.rank()], last);
+  });
+  EXPECT_EQ(buffers, expected);
+  simmpi::StallReport report;
+  report.reset(p, executor.stage_count());
+  buffers = inputs;
+  Communicator resilient(p);
+  simmpi::run_ranks(resilient, [&](RankContext& ctx) {
+    EXPECT_TRUE(executor.execute_resilient(ctx, ReduceOp::kSum,
+                                           buffers[ctx.rank()],
+                                           executor.options().resilience,
+                                           report, last));
+  });
+  EXPECT_EQ(buffers, expected);
+
+  Communicator idle(p);
+  RankContext ctx(idle, 0);
+  Payload buffer = inputs[0];
+  for (const int episode : {last + 1, INT_MIN}) {
+    expect_episode_rejected(idle, episode, [&](int e) {
+      executor.post(ctx, ReduceOp::kSum, buffer, e);
+    });
+    expect_episode_rejected(idle, episode, [&](int e) {
+      executor.post_resilient(ctx, ReduceOp::kSum, buffer,
+                              executor.options().resilience, report, e);
+    });
+  }
+  EXPECT_EQ(buffer, inputs[0]);
 }
 
 // ---- ExecutorOptions ---------------------------------------------------
@@ -372,7 +471,7 @@ TEST(RequestPolling, DuplicatesDoNotConfuseTestPolling) {
 TEST(RequestPolling, PastDeadlineSliceStillReportsFinishedRequests) {
   // The at-deadline boundary of the bounded batched wait: a request
   // whose match is already complete must be reported done even when the
-  // progress slice's deadline has already passed — wait_all_on_until
+  // progress slice's deadline has already passed — wait_stage_until
   // only fails when completion would require waiting strictly past the
   // deadline.
   for (const BoardMode board : {BoardMode::kSharded, BoardMode::kGlobal}) {
@@ -383,8 +482,8 @@ TEST(RequestPolling, PastDeadlineSliceStillReportsFinishedRequests) {
     recv->wait();
     const std::vector<simmpi::Request> requests{send, recv};
     RankContext ctx(comm, 1);
-    EXPECT_TRUE(ctx.wait_all_batched_until(
-        requests, simmpi::Clock::now() - 1ms));
+    EXPECT_TRUE(ctx.wait_stage_until(requests, {},
+                                     simmpi::Clock::now() - 1ms));
   }
 }
 
@@ -394,10 +493,10 @@ TEST(RequestPolling, PastDeadlineSliceFailsOnUnmatchedRequests) {
     auto recv = comm.irecv(0, 1, 0);  // never sent: cannot finish
     const std::vector<simmpi::Request> requests{recv};
     RankContext ctx(comm, 1);
-    EXPECT_FALSE(ctx.wait_all_batched_until(
-        requests, simmpi::Clock::now() - 1ms));
-    EXPECT_FALSE(ctx.wait_all_batched_until(
-        requests, simmpi::Clock::now() + 2ms));
+    EXPECT_FALSE(ctx.wait_stage_until(requests, {},
+                                      simmpi::Clock::now() - 1ms));
+    EXPECT_FALSE(ctx.wait_stage_until(requests, {},
+                                      simmpi::Clock::now() + 2ms));
   }
 }
 

@@ -1,7 +1,8 @@
 // Tests for bounded-wait execution: no-fault runs stay clean, dropped
 // signals produce StallReports naming the lost edge, reports are
-// bit-reproducible from the fault spec, and the collective executor
-// keeps buffer integrity under faults.
+// bit-reproducible from the fault spec, the collective executor keeps
+// buffer integrity under faults, and a barrier reports exactly like its
+// zero-payload collective.
 #include "simmpi/resilience.hpp"
 
 #include <gtest/gtest.h>
@@ -261,6 +262,53 @@ TEST(CollectiveResilience, DroppedEdgeStallsAndNamesIt) {
   // The stalled receiver's buffer is its last consistent snapshot — the
   // untouched input, not a half-applied stage.
   EXPECT_EQ(result.buffers[dst], Payload(elems, 0));
+}
+
+// A barrier is a zero-payload collective (from_barrier), and both views
+// run it on one executor core: their reports must agree field for field
+// under every fault kind, and both plain runs must drain the board.
+// Deadlines are generous and there are no resends, so a report depends
+// only on the fault decisions, never on thread timing.
+TEST(BarrierAsCollective, ViewsAgreeUnderEveryFaultKind) {
+  ResilienceOptions options;
+  options.deadline_floor = 80ms;
+  options.max_retries = 0;
+  for (const std::size_t p : {4, 8, 12}) {
+    for (const Schedule& schedule :
+         {dissemination_barrier(p), heap_tree_barrier(p),
+          linear_barrier(p)}) {
+      const ScheduleExecutor barrier(schedule);
+      const CollectiveExecutor collective(from_barrier(schedule));
+      const std::vector<Payload> inputs(p);
+      EXPECT_NO_THROW(barrier.run_once());
+      EXPECT_NO_THROW(collective.run_once(inputs, ReduceOp::kSum));
+
+      std::size_t src = 0;
+      while (schedule.targets_of(src, 0).empty()) {
+        ++src;
+      }
+      FaultPlan crash;
+      crash.crashes.push_back({1, 1});
+      const std::vector<FaultPlan> plans = {
+          FaultPlan{},
+          drop_edge(src, schedule.targets_of(src, 0).front(), 0),
+          FaultPlan::parse("seed=5;drop=*>*@*:0.3"),
+          FaultPlan::parse("seed=2;dup=*>*@*:0.5"),
+          crash,
+          FaultPlan::parse("seed=3;dup=*>*@*:0.5;drop=*>*@*:0.2")};
+      for (const FaultPlan& plan : plans) {
+        const StallReport expected = barrier.run_once_resilient(options, plan);
+        const CollectiveExecutor::ResilientResult result =
+            collective.run_once_resilient(inputs, ReduceOp::kSum, options,
+                                          plan);
+        EXPECT_EQ(result.report, expected)
+            << "P=" << p << " faults " << plan.spec() << "\nbarrier:\n"
+            << expected.describe() << "collective:\n"
+            << result.report.describe();
+        EXPECT_EQ(result.buffers, inputs);
+      }
+    }
+  }
 }
 
 }  // namespace
