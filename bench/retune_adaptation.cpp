@@ -1,5 +1,5 @@
 // Extension experiment E1 (Section VIII future work): dynamic
-// re-tuning under changing conditions.
+// re-tuning under changing conditions, through the plan service.
 //
 // Scenario: an application calls barriers continuously on the quad
 // cluster while the run-time conditions change twice —
@@ -7,15 +7,27 @@
 //   phase 2: the scheduler silently re-places ranks block-wise
 //            ("affinity drift": the profile's locality assumptions die),
 //   phase 3: background load makes every inter-node link 4x slower.
-// The controller folds pairwise observations into its drift monitor and
-// re-evaluates with the amortization rule after each phase. Reported:
-// drift seen, decision taken, break-even calls, and the simulated cost
-// of the active schedule before/after on the true profile.
-#include <cmath>
+// The application reports every pairwise O and L it observes to a
+// BarrierLibrary. Drift beyond the threshold starts a background
+// re-tune, and the amortization rule decides whether the re-tuned plan
+// replaces the served one. Two libraries differ only in the horizon the
+// rule assumes: 0 remaining calls (a re-tune never pays) and 1e6. Every
+// report is followed by wait_for_repairs(), so every decision sees
+// exactly the reports before it and the output repeats run to run.
+// Each phase's observations are then fed a second time; an already
+// evaluated view must start no further re-tune.
+//
+// Reported per library and phase: re-tunes started and promoted, the
+// drift left against the last evaluated view, re-tunes started by the
+// re-feed, and the simulated cost of the served plan on the phase's
+// true profile.
+#include <cstddef>
 #include <iostream>
+#include <numeric>
 #include <string>
+#include <vector>
 
-#include "core/retune.hpp"
+#include "core/library.hpp"
 #include "netsim/engine.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
@@ -43,14 +55,27 @@ TopologyProfile slowed_internode(const TopologyProfile& profile,
   return TopologyProfile(std::move(o), std::move(l));
 }
 
-void feed(AdaptiveBarrierController& controller,
-          const TopologyProfile& truth) {
+struct Retunes {
+  std::size_t started = 0;
+  std::size_t promoted = 0;
+};
+
+/// Report every pairwise O and L of `truth`, draining the repair worker
+/// after each report; returns the re-tunes the reports caused.
+Retunes feed(BarrierLibrary& library, const std::vector<std::size_t>& world,
+             const TopologyProfile& truth) {
+  const ServiceStats before = library.stats();
   for (std::size_t i = 0; i < truth.ranks(); ++i) {
     for (std::size_t j = i + 1; j < truth.ranks(); ++j) {
-      controller.monitor().observe_overhead(i, j, truth.o(i, j));
-      controller.monitor().observe_latency(i, j, truth.l(i, j));
+      library.report_measured_overhead(world, i, j, truth.o(i, j));
+      library.wait_for_repairs();
+      library.report_measured_latency(world, i, j, truth.l(i, j));
+      library.wait_for_repairs();
     }
   }
+  const ServiceStats after = library.stats();
+  return {after.repairs_started - before.repairs_started,
+          after.drift_retunes - before.drift_retunes};
 }
 
 }  // namespace
@@ -66,54 +91,54 @@ int main() {
   const TopologyProfile phase2 = generate_profile(machine, block);
   const TopologyProfile phase3 =
       slowed_internode(phase2, machine, block, 4.0);
+  std::vector<std::size_t> world(ranks);
+  std::iota(world.begin(), world.end(), std::size_t{0});
 
-  ControllerOptions options;
-  options.drift_threshold = 0.2;
-  options.alpha = 0.5;
-  options.retune_overhead = 0.1;  // the paper's ~0.1 s tuning figure
-  AdaptiveBarrierController controller(phase1, options);
+  EngineOptions options;
+  options.service.auto_repair = true;
+  options.service.drift_alpha = 1.0;  // the observations are exact
+  options.service.drift_retune_threshold = 0.2;
 
   std::cout << "Dynamic re-tuning experiment, " << machine.name() << ", "
             << ranks << " ranks, drift threshold "
-            << options.drift_threshold << ", re-tune overhead "
-            << options.retune_overhead << " s\n\n";
-  Table table({"phase", "event", "drift", "retuned", "gain/call[us]",
-               "break_even[calls]", "active_cost_on_truth[us]"});
+            << options.service.drift_retune_threshold
+            << ", re-tune overhead measured live\n\n";
+  Table table({"expected_calls", "phase", "event", "retunes", "promoted",
+               "drift_after", "refeed_retunes", "served_cost_on_truth[us]"});
 
   struct Phase {
     const char* name;
     const char* event;
     const TopologyProfile* truth;
-    double horizon;
   };
   const Phase phases[] = {
-      {"1", "profiled conditions", &phase1, 1e6},
-      {"2a", "affinity drift, 10 calls left", &phase2, 10.0},
-      {"2b", "affinity drift, long horizon", &phase2, 1e6},
-      {"3", "background load (internode x4)", &phase3, 1e6},
+      {"1", "profiled conditions", &phase1},
+      {"2", "affinity drift (block placement)", &phase2},
+      {"3", "background load (internode x4)", &phase3},
   };
-  for (const Phase& phase : phases) {
-    feed(controller, *phase.truth);
-    const double drift = controller.monitor().max_drift();
-    const bool retuned = controller.reevaluate(phase.horizon);
-    const RetuneDecision& decision = controller.last_decision();
-    const double cost =
-        simulate(controller.schedule(), *phase.truth).barrier_time();
-    const std::string break_even =
-        std::isinf(decision.break_even_calls)
-            ? std::string("inf")
-            : Table::num(decision.break_even_calls, 1);
-    table.add_row({phase.name, phase.event, Table::num(drift, 3),
-                   std::string(retuned ? "yes" : "no"),
-                   Table::num(decision.gain_per_call * 1e6, 2), break_even,
-                   Table::num(cost * 1e6, 1)});
+  for (const double horizon : {0.0, 1e6}) {
+    options.service.expected_calls = horizon;
+    BarrierLibrary library(phase1, options);
+    library.full_barrier();
+    for (const Phase& phase : phases) {
+      const Retunes fed = feed(library, world, *phase.truth);
+      const double drift = library.plan_health(world).observed_drift;
+      const Retunes refed = feed(library, world, *phase.truth);
+      const double cost =
+          simulate(library.full_barrier().stored.schedule, *phase.truth)
+              .barrier_time();
+      table.add_row({Table::num(horizon, 0), phase.name, phase.event,
+                     Table::num(fed.started), Table::num(fed.promoted),
+                     Table::num(drift, 3), Table::num(refed.started),
+                     Table::num(cost * 1e6, 1)});
+    }
   }
   table.print(std::cout);
-  std::cout << "\ntotal re-tunes: " << controller.retune_count()
-            << ". Phase 1 sees no drift; phase 2a is declined by the\n"
-               "amortization rule (10 calls cannot pay a 0.1 s re-tune);\n"
-               "phase 2b accepts the same candidate with a long horizon;\n"
-               "phase 3 re-tunes again because the slower network shifts\n"
-               "the greedy algorithm trade-offs at the cluster roots.\n";
+  std::cout << "\nPhase 1 sees no drift. With a zero horizon the rule\n"
+               "declines every re-tune and the stale plan keeps serving;\n"
+               "with a 1e6-call horizon the library promotes re-tuned\n"
+               "plans in phases 2 and 3. Every re-tune re-anchors the\n"
+               "drift monitor to the view it evaluated, so re-feeding the\n"
+               "same observations starts none.\n";
   return 0;
 }

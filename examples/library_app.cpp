@@ -7,16 +7,16 @@
 // and cached; repeated use costs a lookup.
 //
 // The second half shows the dynamic layer: the application reports its
-// own observed pairwise costs, and the AdaptiveBarrierController decides
-// when re-tuning amortizes.
+// own observed pairwise costs, and the library re-tunes the plan it
+// serves in the background when the amortization rule says it pays.
 #include <chrono>
 #include <filesystem>
 #include <iostream>
+#include <numeric>
 
 #include "core/library.hpp"
-#include "core/retune.hpp"
 #include "netsim/engine.hpp"
-#include "simmpi/runtime.hpp"
+#include "simmpi/executor.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
 #include "topology/mapping.hpp"
@@ -34,8 +34,13 @@ int main() {
   std::cout << "installed machine profile at " << profile_path << "\n";
 
   // --- Application start-up: open the library. ---
+  EngineOptions options;
+  options.service.auto_repair = true;  // re-tune drifted plans
+  // Our observations below are exact link measurements, so adopt them
+  // outright instead of easing in with the default EWMA weight.
+  options.service.drift_alpha = 1.0;
   BarrierLibrary library =
-      BarrierLibrary::from_profile_file(profile_path.string());
+      BarrierLibrary::from_profile_file(profile_path.string(), options);
   std::cout << "library opened for " << library.ranks() << " ranks\n";
 
   // World barrier: tuned on first request, cached afterwards.
@@ -55,49 +60,47 @@ int main() {
 
   // A sub-communicator: the ranks of node 2 only.
   const std::vector<std::size_t> node2{16, 17, 18, 19, 20, 21, 22, 23};
-  const LibraryEntry& node_barrier = library.barrier_for(node2);
+  const LibraryEntry& node_barrier = library.subset_plan(node2);
   std::cout.setf(std::ios::scientific);
   std::cout << "node-2 sub-barrier: predicted "
             << node_barrier.predicted_cost << " s vs world "
             << world_barrier.predicted_cost << " s\n";
 
   // Execute both on rank threads (local rank numbering for the subset).
-  simmpi::Communicator world_comm(world);
-  simmpi::run_ranks(world_comm, [&](simmpi::RankContext& ctx) {
-    world_barrier.compiled.execute(ctx);
-  });
-  simmpi::Communicator node_comm(node2.size());
-  simmpi::run_ranks(node_comm, [&](simmpi::RankContext& ctx) {
-    node_barrier.compiled.execute(ctx);
-  });
+  simmpi::ScheduleExecutor(world_barrier.stored.schedule).run_once();
+  simmpi::ScheduleExecutor(node_barrier.stored.schedule).run_once();
   std::cout << "executed world and sub-communicator barriers ("
             << library.cache_size() << " cached tunings)\n";
 
   // --- Dynamic layer: conditions change at run time. ---
-  ControllerOptions controller_options;
-  // Our observations below are exact link measurements, so adopt them
-  // outright instead of easing in with the default EWMA weight.
-  controller_options.alpha = 1.0;
-  AdaptiveBarrierController controller(library.profile(), controller_options);
   // The scheduler re-placed our ranks round-robin; report what we see.
+  // Draining the repair worker after each report keeps this run's
+  // decisions reproducible; a real application just keeps going.
   const TopologyProfile drifted =
       generate_profile(machine, round_robin_mapping(machine, world));
+  std::vector<std::size_t> all(world);
+  std::iota(all.begin(), all.end(), std::size_t{0});
   for (std::size_t i = 0; i < world; ++i) {
     for (std::size_t j = i + 1; j < world; ++j) {
-      controller.monitor().observe_overhead(i, j, drifted.o(i, j));
-      controller.monitor().observe_latency(i, j, drifted.l(i, j));
+      library.report_measured_overhead(all, i, j, drifted.o(i, j));
+      library.wait_for_repairs();
+      library.report_measured_latency(all, i, j, drifted.l(i, j));
+      library.wait_for_repairs();
     }
   }
-  const bool retuned = controller.reevaluate(/*expected_calls=*/1e6);
-  std::cout << "after placement drift: drift="
-            << controller.monitor().max_drift() << ", retuned="
-            << (retuned ? "yes" : "no") << ", new predicted cost "
-            << controller.predicted_cost() << " s\n";
+  const ServiceStats stats = library.stats();
+  const LibraryEntry& adapted = library.full_barrier();
+  std::cout << "after placement drift: " << stats.repairs_started
+            << " background re-tunes, " << stats.drift_retunes
+            << " promoted, served plan generation " << adapted.generation
+            << ", predicted cost " << adapted.predicted_cost << " s\n";
   const double before =
-      simulate(library.full_barrier().stored.schedule, drifted).barrier_time();
-  const double after = simulate(controller.schedule(), drifted).barrier_time();
+      simulate(world_barrier.stored.schedule, drifted).barrier_time();
+  const double after = simulate(adapted.stored.schedule, drifted).barrier_time();
   std::cout << "simulated on the drifted machine: stale schedule " << before
-            << " s, adapted schedule " << after << " s\n";
+            << " s, served schedule " << after << " s\n";
+  // The application's next world barrier runs the re-tuned plan.
+  simmpi::ScheduleExecutor(adapted.stored.schedule).run_once();
 
   std::filesystem::remove(profile_path);
   return 0;

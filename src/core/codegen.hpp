@@ -13,17 +13,13 @@
 // emitted code is parameterised over a point-to-point policy type so it
 // compiles against simmpi or any MPI-like layer.
 //
-// CompiledBarrier is the in-process twin: the same specialisation
-// (flattened per-rank op lists, empty stages skipped) executed directly,
-// without going through source text.
+// In process, a schedule runs on simmpi::ScheduleExecutor, the
+// staged-edge core's barrier view, without going through source text.
 #pragma once
 
-#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "barrier/schedule.hpp"
-#include "simmpi/runtime.hpp"
 
 namespace optibar {
 
@@ -49,30 +45,5 @@ GeneratedCode generate_cpp(const Schedule& schedule,
 /// count (checked with MPI_Comm_size at run time).
 GeneratedCode generate_mpi_c(const Schedule& schedule,
                              const std::string& function_name);
-
-/// Specialised in-process executor: per-rank flattened op lists with
-/// per-rank empty stages removed (stage tags preserved so it
-/// inter-operates with the general interpreter's tag space).
-class CompiledBarrier {
- public:
-  explicit CompiledBarrier(const Schedule& schedule);
-
-  std::size_t ranks() const { return per_rank_.size(); }
-
-  /// Total ops this rank executes (diagnostics; excludes skipped stages).
-  std::size_t op_count(std::size_t rank) const;
-
-  void execute(simmpi::RankContext& ctx, int episode = 0) const;
-
- private:
-  struct StageOps {
-    int stage_tag = 0;
-    std::vector<std::size_t> send_to;
-    std::vector<std::size_t> recv_from;
-  };
-
-  std::size_t stages_ = 0;
-  std::vector<std::vector<StageOps>> per_rank_;
-};
 
 }  // namespace optibar

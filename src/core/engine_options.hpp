@@ -68,11 +68,12 @@ struct ServiceOptions {
   /// the blamed links look this many times slower. Must be >= 1.
   double evidence_inflation = 2.0;
 
-  /// report_measured_latency drift (DriftMonitor::max_drift) at which a
-  /// healthy plan is re-tuned in the background. In (0, +inf).
+  /// report_measured_{overhead,latency} drift (DriftMonitor::max_drift)
+  /// at which a healthy plan is re-tuned in the background. In (0, +inf).
   double drift_retune_threshold = 0.20;
 
-  /// EWMA weight of each measured-latency observation, in (0, 1].
+  /// EWMA weight of each measured overhead or latency observation, in
+  /// (0, 1].
   double drift_alpha = 0.25;
 
   /// Amortization horizon for drift-triggered retunes: the candidate

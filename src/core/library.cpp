@@ -122,6 +122,7 @@ struct BarrierLibrary::Service {
   std::atomic<std::size_t> plan_requests{0};
   std::atomic<std::size_t> tunes{0};
   std::atomic<std::size_t> stall_reports{0};
+  std::atomic<std::size_t> overhead_reports{0};
   std::atomic<std::size_t> latency_reports{0};
   std::atomic<std::size_t> success_reports{0};
   std::atomic<std::size_t> quarantines{0};
@@ -306,7 +307,6 @@ void BarrierLibrary::build_entry_locked(Slot& slot,
     entry->global_ranks = ranks;
     entry->stored.schedule = tuned.schedule();
     entry->stored.awaited_stages = tuned.barrier().awaited_stages;
-    entry->compiled = CompiledBarrier(tuned.schedule());
     entry->predicted_cost = tuned.predicted_cost();
     entry->generation =
         service_->next_generation.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -403,7 +403,6 @@ void BarrierLibrary::publish_fallback_locked(
   const Schedule safe = dissemination_barrier(ranks.size());
   fallback->global_ranks = ranks;
   fallback->stored.schedule = safe;
-  fallback->compiled = CompiledBarrier(safe);
   fallback->predicted_cost =
       predicted_time(safe, profile_.restrict_to(ranks).symmetrized());
   fallback->degraded = true;
@@ -561,20 +560,38 @@ void BarrierLibrary::report_execution_success(
 void BarrierLibrary::report_measured_latency(
     const std::vector<std::size_t>& ranks, std::size_t src, std::size_t dst,
     double seconds) {
+  report_measurement(ranks, src, dst, seconds, /*overhead=*/false);
+}
+
+void BarrierLibrary::report_measured_overhead(
+    const std::vector<std::size_t>& ranks, std::size_t src, std::size_t dst,
+    double seconds) {
+  report_measurement(ranks, src, dst, seconds, /*overhead=*/true);
+}
+
+void BarrierLibrary::report_measurement(const std::vector<std::size_t>& ranks,
+                                        std::size_t src, std::size_t dst,
+                                        double seconds, bool overhead) {
+  const char* what = overhead ? "overhead" : "latency";
   validate_subset(ranks);
   OPTIBAR_REQUIRE(std::isfinite(seconds) && seconds >= 0.0,
-                  "measured latency must be finite and non-negative, got "
-                      << seconds);
+                  "measured " << what
+                              << " must be finite and non-negative, got "
+                              << seconds);
   OPTIBAR_REQUIRE(src < ranks.size() && dst < ranks.size(),
-                  "latency indices are local subset ranks: ("
-                      << src << ", " << dst << ") out of range ("
-                      << ranks.size() << ")");
-  OPTIBAR_REQUIRE(src != dst, "latency observation needs distinct ranks");
+                  what << " indices are local subset ranks: (" << src << ", "
+                       << dst << ") out of range (" << ranks.size() << ")");
+  OPTIBAR_REQUIRE(src != dst, what << " observation needs distinct ranks");
   const std::shared_ptr<Slot> slot = served_slot(ranks);
   std::lock_guard<std::mutex> lock(slot->build_mutex);
   ensure_monitor_locked(*slot, ranks);
-  slot->monitor->observe_latency(src, dst, seconds);
-  service_->latency_reports.fetch_add(1, std::memory_order_relaxed);
+  if (overhead) {
+    slot->monitor->observe_overhead(src, dst, seconds);
+    service_->overhead_reports.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    slot->monitor->observe_latency(src, dst, seconds);
+    service_->latency_reports.fetch_add(1, std::memory_order_relaxed);
+  }
   const PlanState state = slot->state.load(std::memory_order_relaxed);
   if ((state == PlanState::kHealthy || state == PlanState::kSuspect) &&
       slot->monitor->max_drift() >=
@@ -634,6 +651,7 @@ ServiceStats BarrierLibrary::stats() const {
   out.plan_requests = s.plan_requests.load(std::memory_order_relaxed);
   out.tunes = s.tunes.load(std::memory_order_relaxed);
   out.stall_reports = s.stall_reports.load(std::memory_order_relaxed);
+  out.overhead_reports = s.overhead_reports.load(std::memory_order_relaxed);
   out.latency_reports = s.latency_reports.load(std::memory_order_relaxed);
   out.success_reports = s.success_reports.load(std::memory_order_relaxed);
   out.quarantines = s.quarantines.load(std::memory_order_relaxed);
@@ -713,7 +731,6 @@ void BarrierLibrary::insert_record(const PlanStoreRecord& record) {
   auto entry = std::make_unique<LibraryEntry>();
   entry->global_ranks = record.subset;
   entry->stored = record.plan;
-  entry->compiled = CompiledBarrier(record.plan.schedule);
   entry->predicted_cost = record.predicted_cost;
   entry->generation =
       service_->next_generation.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -910,13 +927,12 @@ void BarrierLibrary::run_repair(Service& service, RepairJob job) {
     auto entry = std::make_unique<LibraryEntry>();
     entry->global_ranks = job.ranks;
     entry->stored = std::move(chosen);
-    entry->compiled = CompiledBarrier(entry->stored.schedule);
     entry->predicted_cost = chosen_cost;
     entry->generation =
         service.next_generation.fetch_add(1, std::memory_order_relaxed) + 1;
     slot.tuned = entry.get();
     slot.versions.push_back(std::move(entry));
-    slot.monitor->rebaseline();
+    slot.monitor->rebaseline(std::move(drifted));
     if (job.drift_only) {
       service.drift_retunes.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -929,7 +945,11 @@ void BarrierLibrary::run_repair(Service& service, RepairJob job) {
     return;
   }
   if (job.drift_only) {
-    slot.repair_pending = false;  // not amortizable; keep the active plan
+    // Not amortizable: keep the active plan, but re-anchor to the view
+    // just evaluated, so re-reporting it cannot start the same re-tune
+    // again; only drift beyond it can.
+    slot.monitor->rebaseline(std::move(drifted));
+    slot.repair_pending = false;
     return;
   }
   service.repairs_failed.fetch_add(1, std::memory_order_relaxed);

@@ -7,9 +7,9 @@
 //  this problem."
 //
 // BarrierLibrary is that solution grown into a long-running service:
-// it owns a machine profile, serves tuned compiled barriers on demand
-// for the full rank set or any sub-communicator, and — unlike the
-// earlier batch cache — keeps every served plan healthy over time.
+// it owns a machine profile, serves tuned barrier plans on demand for
+// the full rank set or any sub-communicator, and — unlike the earlier
+// batch cache — keeps every served plan healthy over time.
 //
 // Concurrency: the plan cache is sharded, each shard behind a
 // std::shared_mutex, so repeated subset_plan() hits are read-locked
@@ -20,8 +20,8 @@
 // lock at all.
 //
 // Self-healing (see core/plan_health.hpp for the state machine): the
-// resilience layer's StallReports and measured latencies feed
-// report_execution_failure / report_measured_latency; past the
+// resilience layer's StallReports and measured pairwise costs feed
+// report_execution_failure / report_measured_{overhead,latency}; past the
 // quarantine threshold a plan is demoted to a dissemination fallback
 // *while* a background worker repairs it — inflating the O/L (and R)
 // estimates of the implicated edges, re-tuning with the prior schedule
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "barrier/schedule_io.hpp"
-#include "core/codegen.hpp"
 #include "core/plan_health.hpp"
 #include "core/tuner.hpp"
 #include "topology/profile.hpp"
@@ -59,15 +58,15 @@ struct StallReport;
 }
 
 /// One cached tuning result for a rank subset. Rank indices inside the
-/// compiled barrier are *local* (0..k-1) in the order of the subset the
+/// stored schedule are *local* (0..k-1) in the order of the subset the
 /// caller passed; the caller owns the local<->global translation, as a
-/// sub-communicator implementation would. Entries are immutable once
-/// published: a repair promotes a *new* entry (fresh generation) and
-/// the old one stays valid for the slot's lifetime.
+/// sub-communicator implementation would. In process, the plan runs on
+/// simmpi::ScheduleExecutor(stored.schedule). Entries are immutable
+/// once published: a repair promotes a *new* entry (fresh generation)
+/// and the old one stays valid for the slot's lifetime.
 struct LibraryEntry {
   std::vector<std::size_t> global_ranks;
   StoredSchedule stored;
-  CompiledBarrier compiled{Schedule(1)};
   double predicted_cost = 0.0;
   /// True when this entry is a quarantine fallback (a known-safe
   /// dissemination barrier) rather than the tuned plan — see
@@ -85,6 +84,7 @@ struct ServiceStats {
   std::size_t plan_requests = 0;     ///< subset_plan / full_barrier calls
   std::size_t tunes = 0;             ///< cache misses that ran the tuner
   std::size_t stall_reports = 0;     ///< report_execution_failure calls
+  std::size_t overhead_reports = 0;  ///< accepted measured overheads
   std::size_t latency_reports = 0;   ///< accepted measured latencies
   std::size_t success_reports = 0;   ///< report_execution_success calls
   std::size_t quarantines = 0;       ///< healthy/suspect -> quarantined
@@ -125,11 +125,6 @@ class BarrierLibrary {
   /// library's lifetime (until eviction when
   /// ServiceOptions::max_cache_entries bounds the cache).
   const LibraryEntry& subset_plan(const std::vector<std::size_t>& ranks);
-
-  /// Historic name for subset_plan(); kept for existing callers.
-  const LibraryEntry& barrier_for(const std::vector<std::size_t>& ranks) {
-    return subset_plan(ranks);
-  }
 
   /// Batch form: tune every subset, fanning the not-yet-cached ones out
   /// across the pool (serial without one). Validates all subsets before
@@ -172,10 +167,19 @@ class BarrierLibrary {
   /// into the subset's drift monitor. Rejects non-finite or negative
   /// values, i == j, and out-of-range indices with an Error. With
   /// auto_repair, drift beyond ServiceOptions::drift_retune_threshold
-  /// triggers a background re-tune gated by the amortization rule.
+  /// triggers a background re-tune gated by the amortization rule; the
+  /// re-tune re-anchors the monitor to the view it evaluated, whether
+  /// it promotes or declines, so only drift beyond that view can start
+  /// the next one.
   void report_measured_latency(const std::vector<std::size_t>& ranks,
                                std::size_t src, std::size_t dst,
                                double seconds);
+
+  /// As report_measured_latency, for one measured pairwise overhead O
+  /// (the per-message startup cost; same validation and drift gate).
+  void report_measured_overhead(const std::vector<std::size_t>& ranks,
+                                std::size_t src, std::size_t dst,
+                                double seconds);
 
   /// Failure reports recorded so far for a subset (0 when never tuned).
   std::size_t failure_count(const std::vector<std::size_t>& ranks);
@@ -229,6 +233,12 @@ class BarrierLibrary {
                                   ThreadPool* pool);
   void build_entry_locked(Slot& slot, const std::vector<std::size_t>& ranks,
                           ThreadPool* pool);
+  /// Shared body of report_measured_{overhead,latency}: validate the
+  /// observation, fold it into the subset's drift monitor (as O when
+  /// `overhead`, else as L), then apply the drift gate.
+  void report_measurement(const std::vector<std::size_t>& ranks,
+                          std::size_t src, std::size_t dst, double seconds,
+                          bool overhead);
   /// Shared failure-transition logic of both report overloads.
   bool record_failure(Slot& slot, const std::vector<std::size_t>& ranks,
                       const std::string& reason,

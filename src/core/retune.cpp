@@ -1,10 +1,9 @@
 #include "core/retune.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
-#include "barrier/cost_model.hpp"
 #include "util/error.hpp"
 
 namespace optibar {
@@ -110,6 +109,13 @@ double DriftMonitor::max_drift() const {
 
 void DriftMonitor::rebaseline() { baseline_ = current_; }
 
+void DriftMonitor::rebaseline(TopologyProfile view) {
+  OPTIBAR_REQUIRE(view.ranks() == current_.ranks(),
+                  "re-anchor view has " << view.ranks() << " ranks, monitor "
+                                        << current_.ranks());
+  baseline_ = std::move(view);
+}
+
 RetuneDecision evaluate_retune(double current_cost_seconds,
                                double candidate_cost_seconds,
                                double retune_overhead_seconds,
@@ -126,57 +132,6 @@ RetuneDecision evaluate_retune(double current_cost_seconds,
       retune_overhead_seconds / decision.gain_per_call;
   decision.retune = expected_remaining_calls > decision.break_even_calls;
   return decision;
-}
-
-AdaptiveBarrierController::AdaptiveBarrierController(
-    const TopologyProfile& initial, ControllerOptions options)
-    : options_(std::move(options)),
-      monitor_(initial, options_.alpha),
-      active_(tune_barrier(initial, options_.tuning)) {
-  predicted_cost_ = active_.predicted_cost();
-}
-
-const Schedule& AdaptiveBarrierController::schedule() const {
-  return active_.schedule();
-}
-
-const std::vector<bool>& AdaptiveBarrierController::awaited_stages() const {
-  return active_.barrier().awaited_stages;
-}
-
-bool AdaptiveBarrierController::reevaluate(double expected_remaining_calls) {
-  if (monitor_.max_drift() < options_.drift_threshold) {
-    return false;
-  }
-
-  // Tune against the drifted view, timing the work so the measured
-  // overhead enters the amortization rule when none was configured.
-  const auto start = std::chrono::steady_clock::now();
-  TuneResult candidate = tune_barrier(monitor_.current(), options_.tuning);
-  const double measured_overhead =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  const double overhead = options_.retune_overhead > 0.0
-                              ? options_.retune_overhead
-                              : measured_overhead;
-
-  // Both costs priced on the same (drifted, symmetrized) profile.
-  PredictOptions active_options;
-  active_options.awaited_stages = active_.barrier().awaited_stages;
-  compiled_.compile(active_.schedule(), candidate.profile());
-  const double current_cost =
-      predicted_time(compiled_, active_options, workspace_);
-
-  last_decision_ = evaluate_retune(current_cost, candidate.predicted_cost(),
-                                   overhead, expected_remaining_calls);
-  if (!last_decision_.retune) {
-    return false;
-  }
-  active_ = std::move(candidate);
-  predicted_cost_ = active_.predicted_cost();
-  ++retunes_;
-  monitor_.rebaseline();
-  return true;
 }
 
 }  // namespace optibar

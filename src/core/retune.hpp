@@ -11,23 +11,20 @@
 //  efficient scheme to estimate the profitability of dynamically
 //  altering methods makes an interesting topic for further study."
 //
-// This module implements that further study:
+// This module holds the two building blocks of that further study:
 //   - DriftMonitor folds cheap incremental pairwise observations into an
 //     EWMA copy of the profile and reports the drift vs the tuned
 //     baseline;
 //   - evaluate_retune() is the amortization rule: re-tune only when the
 //     per-call gain times the expected remaining calls exceeds the
-//     re-tuning overhead;
-//   - AdaptiveBarrierController ties them together into a drop-in
-//     controller that owns the current schedule.
+//     re-tuning overhead.
+// BarrierLibrary (core/library.hpp) runs the re-tuning loop itself: one
+// monitor per served plan, drift re-tunes in the background, promotion
+// gated by evaluate_retune().
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
-#include "barrier/compiled_schedule.hpp"
-#include "barrier/schedule.hpp"
-#include "core/tuner.hpp"
 #include "topology/profile.hpp"
 
 namespace optibar {
@@ -63,8 +60,13 @@ class DriftMonitor {
 
   std::size_t observation_count() const { return observations_; }
 
-  /// Re-anchor the baseline to the current view (after a re-tune).
+  /// Re-anchor the baseline to the current view.
   void rebaseline();
+
+  /// Re-anchor the baseline to `view`, an earlier snapshot of current()
+  /// (the view a re-tune was evaluated against): observations folded
+  /// since the snapshot stay visible as drift.
+  void rebaseline(TopologyProfile view);
 
  private:
   TopologyProfile baseline_;
@@ -86,50 +88,5 @@ RetuneDecision evaluate_retune(double current_cost_seconds,
                                double candidate_cost_seconds,
                                double retune_overhead_seconds,
                                double expected_remaining_calls);
-
-struct ControllerOptions {
-  /// Relative drift that triggers a re-evaluation.
-  double drift_threshold = 0.20;
-  /// Cost of one re-tune, seconds. Zero means "measure it live" (wall
-  /// clock around the tuner, matching the paper's ~0.1 s figure).
-  double retune_overhead = 0.0;
-  /// EWMA weight for the drift monitor.
-  double alpha = 0.25;
-  TuneOptions tuning;
-};
-
-/// Owns the active barrier schedule; callers report observations and
-/// periodically ask it to re-evaluate.
-class AdaptiveBarrierController {
- public:
-  explicit AdaptiveBarrierController(const TopologyProfile& initial,
-                                     ControllerOptions options = {});
-
-  const Schedule& schedule() const;
-  const std::vector<bool>& awaited_stages() const;
-  double predicted_cost() const { return predicted_cost_; }
-  std::size_t retune_count() const { return retunes_; }
-  DriftMonitor& monitor() { return monitor_; }
-
-  /// Re-evaluate against the drifted profile. Tunes a candidate only if
-  /// drift exceeds the threshold; applies it only if amortizable over
-  /// `expected_remaining_calls`. Returns whether the schedule changed.
-  bool reevaluate(double expected_remaining_calls);
-
-  /// The decision of the last reevaluate() that got past the drift gate.
-  const RetuneDecision& last_decision() const { return last_decision_; }
-
- private:
-  ControllerOptions options_;
-  DriftMonitor monitor_;
-  TuneResult active_;
-  double predicted_cost_ = 0.0;
-  std::size_t retunes_ = 0;
-  RetuneDecision last_decision_;
-  /// Reused cost-kernel state: periodic reevaluate() calls re-price the
-  /// active schedule without allocating.
-  CompiledSchedule compiled_;
-  PredictWorkspace workspace_;
-};
 
 }  // namespace optibar

@@ -43,9 +43,6 @@ class TuneResult {
   /// Specialised C++ source for the hybrid barrier (Section VII-C).
   GeneratedCode generated_code() const;
 
-  /// Specialised in-process executor.
-  CompiledBarrier compiled() const { return CompiledBarrier(schedule()); }
-
  private:
   TopologyProfile profile_;
   ClusterNode tree_;

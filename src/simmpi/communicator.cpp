@@ -206,27 +206,6 @@ void Communicator::wait_all(std::span<const Request> requests) {
   }
 }
 
-void Communicator::wait_all_on(std::size_t waiter,
-                               std::span<const Request> requests) const {
-  check_rank(waiter, "waiter");
-  for (const Request& request : requests) {
-    OPTIBAR_REQUIRE(request != nullptr, "null request in wait_all_on");
-  }
-  Shard& shard = *shards_[shard_of(waiter)];
-  {
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    shard.cv.wait(lock, [&] {
-      return std::all_of(requests.begin(), requests.end(),
-                         [](const Request& r) { return r->finished(); });
-    });
-  }
-  // Everything matched; the per-request waits below only sleep out the
-  // simulated delivery latency (ready_at), never block on a condvar.
-  for (const Request& request : requests) {
-    request->wait();
-  }
-}
-
 bool Communicator::wait_all_for(std::span<const Request> requests,
                                 Clock::duration timeout) {
   // One absolute deadline shared by every request. Requests already
@@ -426,7 +405,7 @@ bool Communicator::wait_stage_on_until(std::size_t waiter,
     std::unique_lock<std::mutex> lock(shard.mutex);
     // Flags live in the waiter's own window, i.e. in exactly the shard
     // whose mutex we hold and whose condvar every put to this rank
-    // notifies — the same single-shard park wait_all_on uses.
+    // notifies — so one park on this condvar covers requests and flags.
     const std::vector<RmaWord>& words = rma_words_[waiter];
     for (const FlagWait& f : flags) {
       OPTIBAR_REQUIRE(f.word < words.size(),

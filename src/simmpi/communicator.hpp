@@ -134,16 +134,6 @@ class Communicator {
   /// Wait for every request (order-independent), one request at a time.
   static void wait_all(std::span<const Request> requests);
 
-  /// Batched wait for rank `waiter`: sleeps on the waiter's shard
-  /// condition variable and re-scans the whole request set once per
-  /// wakeup, instead of blocking on each request's own condvar in
-  /// turn. Every match notifies both the destination shard (where the
-  /// receiver waits) and the sender's shard, so a rank parked here is
-  /// woken by completions of its receives *and* of its sends to other
-  /// shards. All requests must belong to operations posted by
-  /// `waiter`; like wait_all, this blocks forever on a dropped send.
-  void wait_all_on(std::size_t waiter, std::span<const Request> requests) const;
-
   /// Bounded wait over a request set: true when all completed within
   /// the budget (checked jointly, not per request). On false, some
   /// requests may still be pending — the caller decides whether to keep
@@ -221,12 +211,16 @@ class Communicator {
 
   /// One bounded progress slice of a stage: park on `waiter`'s shard
   /// condvar until every request has *matched* and every flag (there
-  /// may be none) has arrived, or `deadline` passes. Returns false on
+  /// may be none) has arrived, or `deadline` passes. Every match
+  /// notifies both the destination shard and the sender's shard, so a
+  /// rank parked here is woken by completions of its receives *and* of
+  /// its sends to other shards; all requests must belong to operations
+  /// posted by `waiter`. Returns false on
   /// the deadline with something still outstanding — the caller
   /// re-slices or gives up; already-matched requests succeed even past
   /// the deadline. On true, both the requests' ready_at times and the
   /// flags' visibility times have been slept out, exactly like
-  /// wait_all_on — so a loop of slices is observably identical to one
+  /// wait_all — so a loop of slices is observably identical to one
   /// unbounded wait, which is what makes wait(post()) bit-identical to
   /// the blocking execute().
   bool wait_stage_on_until(std::size_t waiter,

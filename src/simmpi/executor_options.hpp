@@ -36,7 +36,7 @@ struct ExecutorOptions {
   /// re-scans and either advances the episode a stage or parks again.
   /// Bounded slices are what let the resilient lifecycle charge
   /// deadlines by elapsed progress time and let pooled workers stay
-  /// responsive instead of blocking indefinitely in wait_all_on.
+  /// responsive instead of blocking indefinitely in one unbounded wait.
   Clock::duration progress_slice = std::chrono::milliseconds(1);
 
   /// Deadline/retry knobs used by the handle-based resilient lifecycle

@@ -50,13 +50,6 @@ class RankContext {
     Communicator::wait_all(requests);
   }
 
-  /// Batched wait for this rank's own requests: one park on the rank's
-  /// shard condvar per wakeup instead of one condvar wait per request
-  /// (Communicator::wait_all_on).
-  void wait_all_batched(std::span<const Request> requests) const {
-    comm_->wait_all_on(rank_, requests);
-  }
-
   /// One-sided flag store into `dst`'s window (fire-and-forget;
   /// Communicator::rma_put). `stage` feeds fault-plan matching.
   void rma_put(std::size_t dst, std::size_t word, std::uint64_t value,

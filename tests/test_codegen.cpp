@@ -1,6 +1,6 @@
-// Tests for the Section VII-C code generator and the compiled in-process
-// specialisation, including an end-to-end compile-and-run of emitted
-// source with the system compiler when one is available.
+// Tests for the Section VII-C code generator, including an end-to-end
+// compile-and-run of emitted source with the system compiler when one is
+// available.
 #include "core/codegen.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 
 #include "barrier/algorithms.hpp"
 #include "core/tuner.hpp"
+#include "simmpi/executor.hpp"
 #include "simmpi/runtime.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
@@ -75,56 +76,6 @@ TEST(Codegen, EliminatesNoOpStagesPerRank) {
 TEST(Codegen, SourceIsDeterministic) {
   const Schedule s = dissemination_barrier(8);
   EXPECT_EQ(generate_cpp(s, "d8").source, generate_cpp(s, "d8").source);
-}
-
-TEST(CompiledBarrier, DropsNoOpStages) {
-  const CompiledBarrier compiled(tree_barrier(8));
-  EXPECT_EQ(compiled.ranks(), 8u);
-  // Rank 1: one send + one recv across the whole barrier.
-  EXPECT_EQ(compiled.op_count(1), 2u);
-  // Rank 0: receives 3 + sends 3.
-  EXPECT_EQ(compiled.op_count(0), 6u);
-}
-
-TEST(CompiledBarrier, ExecutesEquivalentlyToInterpreter) {
-  const Schedule s = tree_barrier(6);
-  const CompiledBarrier compiled(s);
-  simmpi::Communicator comm(6);
-  simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
-    for (int episode = 0; episode < 3; ++episode) {
-      compiled.execute(ctx, episode);
-    }
-  });
-  EXPECT_EQ(comm.unmatched_operations(), 0u);
-}
-
-TEST(CompiledBarrier, SynchronizesUnderDelayInjection) {
-  using namespace std::chrono_literals;
-  const Schedule s = dissemination_barrier(5);
-  const CompiledBarrier compiled(s);
-  simmpi::Communicator comm(5);
-  std::vector<std::chrono::nanoseconds> exits(5);
-  const auto start = simmpi::Clock::now();
-  simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
-    if (ctx.rank() == 2) {
-      std::this_thread::sleep_for(50ms);
-    }
-    compiled.execute(ctx);
-    exits[ctx.rank()] =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            simmpi::Clock::now() - start);
-  });
-  for (const auto& exit_time : exits) {
-    EXPECT_GE(exit_time, 50ms);
-  }
-}
-
-TEST(CompiledBarrier, RejectsNonBarrier) {
-  Schedule s(2);
-  StageMatrix m(2, 2, 0);
-  m(1, 0) = 1;
-  s.append_stage(std::move(m));
-  EXPECT_THROW(CompiledBarrier{s}, Error);
 }
 
 TEST(MpiCodegen, EmitsWellFormedCFunction) {
@@ -271,15 +222,16 @@ int main() {
 }
 
 TEST(Codegen, GeneratedAdapterRunsInProcessWithoutFiles) {
-  // The same policy-adapter pattern, but exercised directly against the
-  // CompiledBarrier equivalent to pin the two representations together.
+  // The same policy-adapter pattern, without a compiler: the schedule
+  // the generated code hard-codes runs on the in-process executor over
+  // the runtime the adapter wraps.
   const Schedule s = pairwise_exchange_barrier(8);
-  const CompiledBarrier compiled(s);
+  const simmpi::ScheduleExecutor executor(s);
   simmpi::Communicator comm(8);
   simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
     P2PAdapter adapter{&ctx};
     (void)adapter;  // adapter validated by type-checking against policy
-    compiled.execute(ctx);
+    executor.execute(ctx);
   });
   EXPECT_EQ(comm.unmatched_operations(), 0u);
 }

@@ -144,15 +144,15 @@ TEST(Integration, RoundRobinOscillationAppearsInSimulation) {
   }
 }
 
-TEST(Integration, CompiledHybridRunsOnThreadRuntime) {
+TEST(Integration, TunedHybridRunsOnThreadRuntime) {
   const MachineSpec m = quad_cluster(2);
   const TopologyProfile profile = generate_profile(m, 12);
   const TuneResult tuned = tune_barrier(profile);
-  const CompiledBarrier compiled = tuned.compiled();
+  const simmpi::ScheduleExecutor executor(tuned.schedule());
   simmpi::Communicator comm(12);
   simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
     for (int episode = 0; episode < 4; ++episode) {
-      compiled.execute(ctx, episode);
+      executor.execute(ctx, episode);
     }
   });
   EXPECT_EQ(comm.unmatched_operations(), 0u);

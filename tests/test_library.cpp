@@ -52,7 +52,7 @@ TEST(Library, SubCommunicatorUsesLocalNumbering) {
   // A sub-communicator of one node's ranks (round-robin: node 0 hosts
   // ranks 0, 4, 8, ... for 32 ranks over 4 nodes).
   const std::vector<std::size_t> subset{0, 4, 8, 12, 16, 20, 24, 28};
-  const LibraryEntry& entry = library.barrier_for(subset);
+  const LibraryEntry& entry = library.subset_plan(subset);
   EXPECT_EQ(entry.stored.schedule.ranks(), subset.size());
   EXPECT_TRUE(entry.stored.schedule.is_barrier());
   EXPECT_EQ(entry.global_ranks, subset);
@@ -62,8 +62,8 @@ TEST(Library, SubCommunicatorUsesLocalNumbering) {
 TEST(Library, SubsetCostReflectsItsTopology) {
   BarrierLibrary library(cluster_profile(32));
   // All ranks of one node (cheap links) vs one rank per node (slow).
-  const LibraryEntry& local = library.barrier_for({0, 4, 8, 12});
-  const LibraryEntry& remote = library.barrier_for({0, 1, 2, 3});
+  const LibraryEntry& local = library.subset_plan({0, 4, 8, 12});
+  const LibraryEntry& remote = library.subset_plan({0, 1, 2, 3});
   // Round-robin over 4 nodes: ranks 0,4,8,12 share node 0; ranks
   // 0,1,2,3 are one per node.
   EXPECT_LT(local.predicted_cost, remote.predicted_cost);
@@ -71,24 +71,25 @@ TEST(Library, SubsetCostReflectsItsTopology) {
 
 TEST(Library, DifferentOrderingsAreDifferentEntries) {
   BarrierLibrary library(cluster_profile(8));
-  library.barrier_for({0, 1, 2});
-  library.barrier_for({2, 1, 0});
+  library.subset_plan({0, 1, 2});
+  library.subset_plan({2, 1, 0});
   EXPECT_EQ(library.cache_size(), 2u);
 }
 
 TEST(Library, ValidatesSubsets) {
   BarrierLibrary library(cluster_profile(8));
-  EXPECT_THROW(library.barrier_for({}), Error);
-  EXPECT_THROW(library.barrier_for({0, 0}), Error);
-  EXPECT_THROW(library.barrier_for({0, 8}), Error);
+  EXPECT_THROW(library.subset_plan({}), Error);
+  EXPECT_THROW(library.subset_plan({0, 0}), Error);
+  EXPECT_THROW(library.subset_plan({0, 8}), Error);
 }
 
-TEST(Library, CompiledBarrierExecutesOnThreads) {
+TEST(Library, ServedPlanExecutesOnThreads) {
   BarrierLibrary library(cluster_profile(12));
   const LibraryEntry& entry = library.full_barrier();
+  const simmpi::ScheduleExecutor executor(entry.stored.schedule);
   simmpi::Communicator comm(12);
   simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
-    entry.compiled.execute(ctx);
+    executor.execute(ctx);
   });
   EXPECT_EQ(comm.unmatched_operations(), 0u);
 }
@@ -102,7 +103,7 @@ TEST(Library, ConcurrentRequestsAreSafe) {
       try {
         const std::vector<std::size_t> subset{0, static_cast<std::size_t>(t) + 1,
                                               static_cast<std::size_t>(t) + 9};
-        const LibraryEntry& entry = library.barrier_for(subset);
+        const LibraryEntry& entry = library.subset_plan(subset);
         if (!entry.stored.schedule.is_barrier()) {
           ++failures;
         }
@@ -160,8 +161,8 @@ TEST(Library, QuarantineServesADisseminationFallback) {
   EXPECT_NE(fallback.degradation_reason.find("second stall"),
             std::string::npos);
   EXPECT_EQ(fallback.global_ranks, subset);
-  // The fallback is the known-safe dissemination pattern, compiled and
-  // costed against the subset's topology.
+  // The fallback is the known-safe dissemination pattern, costed
+  // against the subset's topology.
   EXPECT_EQ(fallback.stored.schedule, dissemination_barrier(subset.size()));
   EXPECT_TRUE(fallback.stored.awaited_stages.empty());
   EXPECT_GT(fallback.predicted_cost, 0.0);
@@ -213,9 +214,10 @@ TEST(Library, InjectedFaultsDriveQuarantineEndToEnd) {
   // The fallback executes to completion on real threads, no faults.
   const LibraryEntry& fallback = library.subset_plan(subset);
   ASSERT_TRUE(fallback.degraded);
+  const simmpi::ScheduleExecutor safe(fallback.stored.schedule);
   simmpi::Communicator comm(subset.size());
   simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
-    fallback.compiled.execute(ctx);
+    safe.execute(ctx);
   });
   EXPECT_EQ(comm.unmatched_operations(), 0u);
 }

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -404,19 +405,28 @@ TEST(PlanService, MeasuredLatencyValidationRejectsGarbage) {
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(library.report_measured_latency(subset, 0, 1, nan), Error);
-  EXPECT_THROW(library.report_measured_latency(subset, 0, 1, inf), Error);
-  EXPECT_THROW(library.report_measured_latency(subset, 0, 1, -inf), Error);
-  EXPECT_THROW(library.report_measured_latency(subset, 0, 1, -1e-6), Error);
-  EXPECT_THROW(library.report_measured_latency(subset, 1, 1, 1e-6), Error);
-  EXPECT_THROW(library.report_measured_latency(subset, 4, 0, 1e-6), Error);
-  EXPECT_THROW(library.report_measured_latency(subset, 0, 4, 1e-6), Error);
-  // Feedback for a subset that never got a plan is a caller bug.
-  EXPECT_THROW(library.report_measured_latency({4, 5}, 0, 1, 1e-6), Error);
+  using Report = void (BarrierLibrary::*)(const std::vector<std::size_t>&,
+                                          std::size_t, std::size_t, double);
+  for (const Report report : {&BarrierLibrary::report_measured_latency,
+                              &BarrierLibrary::report_measured_overhead}) {
+    EXPECT_THROW((library.*report)(subset, 0, 1, nan), Error);
+    EXPECT_THROW((library.*report)(subset, 0, 1, inf), Error);
+    EXPECT_THROW((library.*report)(subset, 0, 1, -inf), Error);
+    EXPECT_THROW((library.*report)(subset, 0, 1, -1e-6), Error);
+    EXPECT_THROW((library.*report)(subset, 1, 1, 1e-6), Error);
+    EXPECT_THROW((library.*report)(subset, 4, 0, 1e-6), Error);
+    EXPECT_THROW((library.*report)(subset, 0, 4, 1e-6), Error);
+    // Feedback for a subset that never got a plan is a caller bug.
+    EXPECT_THROW((library.*report)({4, 5}, 0, 1, 1e-6), Error);
+  }
   EXPECT_EQ(library.stats().latency_reports, 0u);
+  EXPECT_EQ(library.stats().overhead_reports, 0u);
+  EXPECT_DOUBLE_EQ(library.plan_health(subset).observed_drift, 0.0);
 
   library.report_measured_latency(subset, 0, 1, 1e-6);
+  library.report_measured_overhead(subset, 0, 1, 1e-6);
   EXPECT_EQ(library.stats().latency_reports, 1u);
+  EXPECT_EQ(library.stats().overhead_reports, 1u);
   EXPECT_GE(library.plan_health(subset).observed_drift, 0.0);
 }
 
@@ -466,6 +476,46 @@ TEST(PlanService, DriftBeyondThresholdTriggersABackgroundRetune) {
   const LibraryEntry& promoted = library.subset_plan(subset);
   EXPECT_FALSE(promoted.degraded);
   EXPECT_GT(promoted.generation, tuned_generation);
+}
+
+TEST(PlanService, DeclinedDriftRetuneReanchorsTheMonitor) {
+  // A drift re-tune the amortization rule declines must still re-anchor
+  // the drift monitor to the view it evaluated. Otherwise drift stays
+  // above the threshold, and every later report, even one repeating an
+  // already evaluated value, starts another full re-tune.
+  EngineOptions options = repair_options();
+  options.service.drift_alpha = 1.0;     // converge on one observation
+  options.service.expected_calls = 0.0;  // no re-tune ever amortizes
+  const std::size_t ranks = 16;
+  BarrierLibrary library(cluster_profile(ranks), options);
+  std::vector<std::size_t> world(ranks);
+  std::iota(world.begin(), world.end(), std::size_t{0});
+  const LibraryEntry& tuned = library.subset_plan(world);
+  const MachineSpec machine = quad_cluster();
+  const TopologyProfile moved =
+      generate_profile(machine, block_mapping(machine, ranks));
+  // Draining after every report makes every decision deterministic.
+  const auto feed = [&] {
+    for (std::size_t i = 0; i < ranks; ++i) {
+      for (std::size_t j = i + 1; j < ranks; ++j) {
+        library.report_measured_latency(world, i, j, moved.l(i, j));
+        library.wait_for_repairs();
+      }
+    }
+  };
+
+  feed();
+  const ServiceStats fed = library.stats();
+  ASSERT_GE(fed.repairs_started, 1u);
+  EXPECT_EQ(fed.drift_retunes, 0u);
+  const double drift = library.plan_health(world).observed_drift;
+  EXPECT_LT(drift, options.service.drift_retune_threshold);
+
+  // The same observations again: nothing new to evaluate.
+  feed();
+  EXPECT_EQ(library.stats().repairs_started, fed.repairs_started);
+  EXPECT_DOUBLE_EQ(library.plan_health(world).observed_drift, drift);
+  EXPECT_EQ(&library.subset_plan(world), &tuned);
 }
 
 TEST(PlanService, MovedLibraryKeepsItsRepairWorker) {

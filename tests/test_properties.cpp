@@ -10,7 +10,6 @@
 #include "barrier/dependency_graph.hpp"
 #include "barrier/schedule_io.hpp"
 #include "barrier/validate.hpp"
-#include "core/codegen.hpp"
 #include "core/tuner.hpp"
 #include "netsim/engine.hpp"
 #include "simmpi/executor.hpp"
@@ -257,31 +256,16 @@ TEST_P(PropertySweep, ScheduleIoRoundTripsRandomBarriers) {
   }
 }
 
-TEST_P(PropertySweep, CompiledBarrierExecutesRandomBarriers) {
+TEST_P(PropertySweep, ExecutorRunsRandomBarriers) {
   Rng rng(GetParam());
   const std::size_t p = 2 + rng.next_below(6);  // keep thread counts small
   const Schedule s = random_barrier(p, rng);
-  const CompiledBarrier compiled(s);
+  const simmpi::ScheduleExecutor executor(s);
   simmpi::Communicator comm(p);
   simmpi::run_ranks(comm, [&](simmpi::RankContext& ctx) {
-    compiled.execute(ctx);
+    executor.execute(ctx);
   });
   EXPECT_EQ(comm.unmatched_operations(), 0u);
-}
-
-TEST_P(PropertySweep, InterpreterMatchesCompiledOpCounts) {
-  Rng rng(GetParam());
-  for (int round = 0; round < 5; ++round) {
-    const std::size_t p = 2 + rng.next_below(12);
-    const Schedule s = random_barrier(p, rng);
-    const CompiledBarrier compiled(s);
-    std::size_t total_ops = 0;
-    for (std::size_t r = 0; r < p; ++r) {
-      total_ops += compiled.op_count(r);
-    }
-    // Every signal is one send plus one receive.
-    EXPECT_EQ(total_ops, 2 * s.total_signals());
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertySweep,

@@ -1,13 +1,16 @@
 // Tests for dynamic re-tuning: drift monitoring, the amortization rule,
-// and the adaptive controller end to end (Section VIII future work).
+// and the plan service's drift re-tunes end to end (Section VIII future
+// work).
 #include "core/retune.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <vector>
 
-#include "barrier/cost_model.hpp"
+#include "core/library.hpp"
 #include "util/matrix.hpp"
 #include "netsim/engine.hpp"
 #include "topology/generate.hpp"
@@ -23,7 +26,7 @@ TopologyProfile base_profile(std::size_t ranks = 16) {
   return generate_profile(m, round_robin_mapping(m, ranks));
 }
 
-/// The "conditions changed" truth used by the controller tests: the
+/// The "conditions changed" truth used by the re-tuning tests: the
 /// same machine under a *different* rank placement (block instead of
 /// round-robin). This models the affinity drift the paper warns about —
 /// "valid predictions require consistency between the run time
@@ -35,12 +38,35 @@ TopologyProfile remapped_profile(std::size_t ranks = 16) {
   return generate_profile(m, block_mapping(m, ranks));
 }
 
-void feed_observations(AdaptiveBarrierController& controller,
+std::vector<std::size_t> all_ranks(std::size_t ranks = 16) {
+  std::vector<std::size_t> world(ranks);
+  std::iota(world.begin(), world.end(), std::size_t{0});
+  return world;
+}
+
+/// A library that re-tunes drifted plans in the background, adopting
+/// every observation outright.
+EngineOptions retune_options(double expected_calls) {
+  EngineOptions options;
+  options.service.auto_repair = true;
+  options.service.drift_alpha = 1.0;
+  options.service.drift_retune_threshold = 0.5;
+  options.service.expected_calls = expected_calls;
+  return options;
+}
+
+/// Report every pairwise O and L of `truth`, draining the repair worker
+/// after each report so every decision sees exactly the reports before
+/// it.
+void feed_observations(BarrierLibrary& library,
+                       const std::vector<std::size_t>& subset,
                        const TopologyProfile& truth) {
   for (std::size_t i = 0; i < truth.ranks(); ++i) {
     for (std::size_t j = i + 1; j < truth.ranks(); ++j) {
-      controller.monitor().observe_overhead(i, j, truth.o(i, j));
-      controller.monitor().observe_latency(i, j, truth.l(i, j));
+      library.report_measured_overhead(subset, i, j, truth.o(i, j));
+      library.wait_for_repairs();
+      library.report_measured_latency(subset, i, j, truth.l(i, j));
+      library.wait_for_repairs();
     }
   }
 }
@@ -87,6 +113,20 @@ TEST(DriftMonitor, RebaselineZeroesDrift) {
   EXPECT_GT(monitor.max_drift(), 0.0);
   monitor.rebaseline();
   EXPECT_DOUBLE_EQ(monitor.max_drift(), 0.0);
+}
+
+TEST(DriftMonitor, RebaselineToSnapshotKeepsLaterDrift) {
+  // Re-anchoring to an earlier snapshot forgets only what the snapshot
+  // holds: an observation folded after it still counts as drift.
+  TopologyProfile profile = base_profile();
+  const double old_value = profile.l(2, 3);
+  DriftMonitor monitor(std::move(profile), 1.0);
+  monitor.observe_overhead(0, 1, 1.0);
+  const TopologyProfile snapshot = monitor.current();
+  monitor.observe_latency(2, 3, 3.0 * old_value);
+  monitor.rebaseline(snapshot);
+  EXPECT_NEAR(monitor.max_drift(), 2.0, 1e-12);
+  EXPECT_THROW(monitor.rebaseline(base_profile(8)), Error);
 }
 
 TEST(DriftMonitor, RejectsBadInputs) {
@@ -169,65 +209,53 @@ TEST(Amortization, ZeroOverheadRetunesOnAnyGain) {
   EXPECT_DOUBLE_EQ(d.break_even_calls, 0.0);
 }
 
-TEST(Controller, NoDriftNoRetune) {
-  AdaptiveBarrierController controller(base_profile());
-  EXPECT_FALSE(controller.reevaluate(1e9));
-  EXPECT_EQ(controller.retune_count(), 0u);
+TEST(LibraryRetune, NoDriftStartsNoEvaluation) {
+  BarrierLibrary library(base_profile(), retune_options(1e9));
+  const LibraryEntry& tuned = library.subset_plan(all_ranks());
+  feed_observations(library, all_ranks(), base_profile());
+  EXPECT_EQ(library.stats().repairs_started, 0u);
+  EXPECT_DOUBLE_EQ(library.plan_health(all_ranks()).observed_drift, 0.0);
+  EXPECT_EQ(&library.subset_plan(all_ranks()), &tuned);
 }
 
-TEST(Controller, AdaptsToChangedPlacement) {
-  // The placement changed from round-robin to block; the old schedule's
-  // "node-local" sub-barriers now cross nodes. Feed observations,
-  // re-evaluate with a long horizon, and check the controller both
-  // re-tunes and actually improves the simulated cost on the new truth.
-  const TopologyProfile before = base_profile();
+TEST(LibraryRetune, AdaptsToChangedPlacement) {
+  // The placement changed from round-robin to block; the served plan's
+  // "node-local" sub-barriers now cross nodes. Report the new truth as
+  // O and L observations with a long horizon, and check the library
+  // both re-tunes and actually improves the simulated cost on the new
+  // truth.
   const TopologyProfile after = remapped_profile();
+  BarrierLibrary library(base_profile(), retune_options(1e9));
+  const Schedule original = library.subset_plan(all_ranks()).stored.schedule;
 
-  ControllerOptions options;
-  options.drift_threshold = 0.5;
-  options.alpha = 1.0;  // adopt observations immediately
-  AdaptiveBarrierController controller(before, options);
-  const Schedule original = controller.schedule();
+  feed_observations(library, all_ranks(), after);
+  const ServiceStats stats = library.stats();
+  EXPECT_GE(stats.repairs_started, 1u);
+  EXPECT_GE(stats.drift_retunes, 1u);
 
-  feed_observations(controller, after);
-  EXPECT_GT(controller.monitor().max_drift(), 0.5);
-
-  ASSERT_TRUE(controller.reevaluate(/*expected_remaining_calls=*/1e9));
-  EXPECT_EQ(controller.retune_count(), 1u);
-  EXPECT_GT(controller.last_decision().gain_per_call, 0.0);
-
-  // The new schedule must beat the old one on the re-mapped machine.
+  // The served plan must beat the stale one on the re-mapped machine.
+  const LibraryEntry& served = library.subset_plan(all_ranks());
+  EXPECT_FALSE(served.degraded);
+  EXPECT_EQ(library.plan_state(all_ranks()), PlanState::kHealthy);
   const double old_cost = simulate(original, after).barrier_time();
-  const double new_cost = simulate(controller.schedule(), after).barrier_time();
+  const double new_cost = simulate(served.stored.schedule, after).barrier_time();
   EXPECT_LT(new_cost, old_cost);
 
-  // Drift was re-anchored.
-  EXPECT_DOUBLE_EQ(controller.monitor().max_drift(), 0.0);
+  // Every re-tune re-anchored the monitor to the view it evaluated.
+  EXPECT_LT(library.plan_health(all_ranks()).observed_drift, 0.5);
 }
 
-TEST(Controller, DeclinesUnamortizableRetune) {
-  ControllerOptions options;
-  options.drift_threshold = 0.5;
-  options.alpha = 1.0;
-  options.retune_overhead = 10.0;  // absurdly expensive re-tune
-  AdaptiveBarrierController controller(base_profile(), options);
-  feed_observations(controller, remapped_profile());
-  // One call left: a 10 s overhead can never pay off.
-  EXPECT_FALSE(controller.reevaluate(/*expected_remaining_calls=*/1.0));
-  EXPECT_EQ(controller.retune_count(), 0u);
-  EXPECT_FALSE(controller.last_decision().retune);
-  EXPECT_GT(controller.last_decision().break_even_calls, 1.0);
-}
-
-TEST(Controller, MeasuredOverheadIsUsedWhenUnconfigured) {
-  // With retune_overhead = 0 the controller times the tuner itself; a
-  // huge horizon must then accept any positive gain.
-  ControllerOptions options;
-  options.drift_threshold = 0.5;
-  options.alpha = 1.0;
-  AdaptiveBarrierController controller(base_profile(), options);
-  feed_observations(controller, remapped_profile());
-  EXPECT_TRUE(controller.reevaluate(1e15));
+TEST(LibraryRetune, ZeroHorizonDeclines) {
+  // No remaining calls can amortize a re-tune: the library evaluates
+  // the drifted view but keeps serving the plan it has.
+  BarrierLibrary library(base_profile(), retune_options(0.0));
+  const LibraryEntry& tuned = library.subset_plan(all_ranks());
+  feed_observations(library, all_ranks(), remapped_profile());
+  const ServiceStats stats = library.stats();
+  EXPECT_GE(stats.repairs_started, 1u);
+  EXPECT_EQ(stats.drift_retunes, 0u);
+  EXPECT_EQ(stats.repairs_failed, 0u);  // a declined drift job never "fails"
+  EXPECT_EQ(&library.subset_plan(all_ranks()), &tuned);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Tests for the scaling layer of the simmpi runtime: per-destination
 // board shards keep FIFO matching under many-to-one and all-to-all
-// contention, batched waits complete across shards, a persistent
-// RankPool survives a thousand episodes and rank exceptions, and fault
-// decisions are bit-identical between the sharded and the one-mutex
-// (BoardMode::kGlobal) board. Runs under both tsan and asan.
+// contention, stage waits parked on one shard complete across shards, a
+// persistent RankPool survives a thousand episodes and rank exceptions,
+// and fault decisions are bit-identical between the sharded and the
+// one-mutex (BoardMode::kGlobal) board. Runs under both tsan and asan.
 #include "simmpi/rank_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -36,6 +36,10 @@ using simmpi::Request;
 using simmpi::ResilienceOptions;
 using simmpi::ScheduleExecutor;
 using simmpi::StallReport;
+
+// Bound on the stage waits below, which must all complete: a lost
+// wakeup fails the test instead of hanging it.
+constexpr auto kStageWaitBound = 30s;
 
 // Both board modes must pass every board test below.
 class ShardedBoard : public ::testing::TestWithParam<BoardMode> {};
@@ -73,7 +77,8 @@ TEST_P(ShardedBoard, ManyToOneKeepsPerChannelFifo) {
         requests.push_back(ctx.issend(0, 0, Payload{r, i}));
       }
     }
-    ctx.wait_all_batched(requests);
+    ASSERT_TRUE(ctx.wait_stage_until(requests, {},
+                                     simmpi::Clock::now() + kStageWaitBound));
   });
   for (std::size_t src = 1; src < p; ++src) {
     for (std::size_t i = 0; i < k; ++i) {
@@ -107,7 +112,8 @@ TEST_P(ShardedBoard, AllToAllOrderingAcrossShards) {
         requests.push_back(ctx.irecv(peer, 5, &sinks[r][peer][i]));
       }
     }
-    ctx.wait_all_batched(requests);
+    ASSERT_TRUE(ctx.wait_stage_until(requests, {},
+                                     simmpi::Clock::now() + kStageWaitBound));
   });
   for (std::size_t r = 0; r < p; ++r) {
     for (std::size_t peer = 0; peer < p; ++peer) {
@@ -136,7 +142,8 @@ TEST_P(ShardedBoard, BatchedWaitOverManyRounds) {
     for (int round = 0; round < rounds; ++round) {
       const std::vector<Request> requests = {ctx.issend(next, round),
                                              ctx.irecv(prev, round)};
-      ctx.wait_all_batched(requests);
+      ASSERT_TRUE(ctx.wait_stage_until(
+          requests, {}, simmpi::Clock::now() + kStageWaitBound));
     }
   });
   EXPECT_EQ(comm.unmatched_operations(), 0u);

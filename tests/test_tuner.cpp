@@ -80,14 +80,6 @@ TEST(Tuner, GeneratedCodeUsesConfiguredName) {
   EXPECT_NE(code.source.find("void my_cluster_barrier("), std::string::npos);
 }
 
-TEST(Tuner, CompiledBarrierMatchesScheduleShape) {
-  const MachineSpec m = quad_cluster(2);
-  const TopologyProfile profile = generate_profile(m, 16);
-  const TuneResult result = tune_barrier(profile);
-  const CompiledBarrier compiled = result.compiled();
-  EXPECT_EQ(compiled.ranks(), 16u);
-}
-
 TEST(Tuner, ClusterTreeIsExposedForInspection) {
   const MachineSpec m = quad_cluster();
   const TopologyProfile profile = generate_profile(m, 32);
