@@ -1,6 +1,7 @@
 #include "collective/schedule.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -38,9 +39,9 @@ std::size_t segment_of(const std::vector<std::size_t>& bounds,
 }
 
 /// Incoming edges of a stage grouped by receiver, each group in
-/// ascending source order — the application order of both the verifier
-/// and the executors. Edges are stored sorted by (src, dst), so a
-/// single pass appends each receiver's sources in ascending order.
+/// ascending source order — the application order of the serial
+/// interpreter and the executors. Edges are stored sorted by (src, dst),
+/// so a single pass appends each receiver's sources in ascending order.
 std::vector<std::vector<const CollectiveEdge*>> edges_by_receiver(
     const CollectiveStage& stage, std::size_t ranks) {
   std::vector<std::vector<const CollectiveEdge*>> incoming(ranks);
@@ -169,125 +170,112 @@ CollectiveSchedule from_barrier(const Schedule& schedule,
 
 bool is_valid_collective(const CollectiveSchedule& schedule) {
   const std::size_t p = schedule.ranks();
-  if (schedule.elem_count() == 0) {
-    // Zero payload: the data dataflow is vacuous, so validity is the
-    // signal pattern's knowledge propagation (the Eq. 3 view) instead —
-    // broadcast: the root's signal reaches every rank; reduce: the root
-    // transitively hears from every rank; allreduce: a full barrier,
-    // everyone comes to know of everyone's arrival.
-    std::vector<std::vector<char>> knows(p, std::vector<char>(p, 0));
-    for (std::size_t r = 0; r < p; ++r) {
-      knows[r][r] = 1;
-    }
-    for (const CollectiveStage& stage : schedule.stages()) {
-      const std::vector<std::vector<char>> snapshot = knows;
-      for (const CollectiveEdge& e : stage) {
-        for (std::size_t r = 0; r < p; ++r) {
-          knows[e.dst][r] |= snapshot[e.src][r];
-        }
-      }
-    }
-    const auto knows_all = [&](std::size_t rank) {
-      for (std::size_t r = 0; r < p; ++r) {
-        if (!knows[rank][r]) {
-          return false;
-        }
-      }
-      return true;
-    };
-    switch (schedule.op()) {
-      case CollectiveOp::kBroadcast:
-        for (std::size_t r = 0; r < p; ++r) {
-          if (!knows[r][schedule.root()]) {
-            return false;
-          }
-        }
-        return true;
-      case CollectiveOp::kReduce:
-        return knows_all(schedule.root());
-      case CollectiveOp::kAllreduce:
-        for (std::size_t r = 0; r < p; ++r) {
-          if (!knows_all(r)) {
-            return false;
-          }
-        }
-        return true;
-    }
-    OPTIBAR_FAIL("unknown CollectiveOp");
-  }
+  const std::size_t root = schedule.root();
+  // Zero payload: the data check is vacuous, so one segment stands for
+  // the whole (empty) buffer and every signal carries knowledge instead.
+  const bool signals_only = schedule.elem_count() == 0;
   const std::vector<std::size_t> bounds = segment_bounds(schedule);
-  const std::size_t segs = bounds.size() - 1;
-  // state[rank * segs + seg] is the contribution-count vector of that
-  // buffer segment: entry r counts how often rank r's input is folded
-  // into it. Initially every buffer holds exactly its own input.
-  std::vector<std::vector<std::uint32_t>> state(p * segs);
+  const std::size_t segs = signals_only ? 1 : bounds.size() - 1;
+  // Slot (rank, seg) is 2 * words consecutive words: the `once` plane,
+  // then the `more` plane, each a bitset over contributing ranks.
+  // Initially every buffer holds exactly its own input.
+  const std::size_t words = (p + 63) / 64;
+  const std::size_t slot_words = 2 * words;
+  const auto bit = [](std::size_t r) { return std::uint64_t{1} << (r % 64); };
+  std::vector<std::uint64_t> state(p * segs * slot_words, 0);
   for (std::size_t r = 0; r < p; ++r) {
     for (std::size_t seg = 0; seg < segs; ++seg) {
-      state[r * segs + seg].assign(p, 0);
-      state[r * segs + seg][r] = 1;
+      state[(r * segs + seg) * slot_words + r / 64] = bit(r);
     }
   }
+  const auto slot = [&](std::size_t rank, std::size_t seg) {
+    return state.data() + (rank * segs + seg) * slot_words;
+  };
+  // Segments [first, last) an edge reads and writes; empty for a signal
+  // when the schedule carries data.
+  const auto carried = [&](const CollectiveEdge& e) {
+    if (signals_only) {
+      return std::pair<std::size_t, std::size_t>{0, 1};
+    }
+    if (e.count == 0) {
+      return std::pair<std::size_t, std::size_t>{0, 0};
+    }
+    return std::pair{segment_of(bounds, e.offset),
+                     segment_of(bounds, e.offset + e.count)};
+  };
 
+  std::vector<std::uint64_t> staged;
   for (const CollectiveStage& stage : schedule.stages()) {
-    const std::vector<std::vector<std::uint32_t>> snapshot = state;
-    for (const auto& incoming : edges_by_receiver(stage, p)) {
-      for (const CollectiveEdge* e : incoming) {
-        if (e->count == 0) {
-          continue;
-        }
-        const std::size_t first = segment_of(bounds, e->offset);
-        const std::size_t last = segment_of(bounds, e->offset + e->count);
-        for (std::size_t seg = first; seg < last; ++seg) {
-          const std::vector<std::uint32_t>& in =
-              snapshot[e->src * segs + seg];
-          std::vector<std::uint32_t>& out = state[e->dst * segs + seg];
-          if (e->combine) {
-            for (std::size_t r = 0; r < p; ++r) {
-              out[r] += in[r];
-            }
-          } else {
-            out = in;
+    // Reads see each sender as it was when the stage began: gather every
+    // edge's source slots before any edge writes.
+    staged.clear();
+    for (const CollectiveEdge& e : stage) {
+      const auto [first, last] = carried(e);
+      const std::uint64_t* src = slot(e.src, first);
+      staged.insert(staged.end(), src, src + (last - first) * slot_words);
+    }
+    // Stored (src, dst) order applies each receiver's edges in ascending
+    // source order, as the executors do.
+    const std::uint64_t* in = staged.data();
+    for (const CollectiveEdge& e : stage) {
+      const auto [first, last] = carried(e);
+      std::uint64_t* out = slot(e.dst, first);
+      for (std::size_t seg = first; seg < last;
+           ++seg, in += slot_words, out += slot_words) {
+        if (signals_only) {
+          for (std::size_t w = 0; w < words; ++w) {
+            out[w] |= in[w];
           }
+        } else if (e.combine) {
+          for (std::size_t w = 0; w < words; ++w) {
+            out[words + w] |= in[words + w] | (out[w] & in[w]);
+            out[w] |= in[w];
+          }
+        } else {
+          std::copy(in, in + slot_words, out);
         }
       }
     }
   }
 
-  const auto holds_reduction = [&](std::size_t rank) {
+  std::vector<std::uint64_t> everyone(words, ~std::uint64_t{0});
+  if (p % 64 != 0) {
+    everyone.back() = bit(p) - 1;
+  }
+  std::vector<std::uint64_t> root_only(words, 0);
+  root_only[root / 64] = bit(root);
+  // Every segment of `rank` holds each rank of `want` exactly once and
+  // no other rank.
+  const auto holds = [&](std::size_t rank,
+                         const std::vector<std::uint64_t>& want) {
     for (std::size_t seg = 0; seg < segs; ++seg) {
-      for (std::size_t r = 0; r < p; ++r) {
-        if (state[rank * segs + seg][r] != 1) {
-          return false;
-        }
+      const std::uint64_t* once = slot(rank, seg);
+      const std::uint64_t* more = once + words;
+      if (!std::equal(want.begin(), want.end(), once) ||
+          std::any_of(more, more + words,
+                      [](std::uint64_t w) { return w != 0; })) {
+        return false;
       }
     }
     return true;
   };
-  const auto holds_root_copy = [&](std::size_t rank) {
-    for (std::size_t seg = 0; seg < segs; ++seg) {
-      for (std::size_t r = 0; r < p; ++r) {
-        const std::uint32_t want = r == schedule.root() ? 1 : 0;
-        if (state[rank * segs + seg][r] != want) {
-          return false;
-        }
-      }
-    }
-    return true;
+  const auto knows_root = [&](std::size_t rank) {
+    return (slot(rank, 0)[root / 64] & bit(root)) != 0;
   };
 
   switch (schedule.op()) {
     case CollectiveOp::kBroadcast:
       for (std::size_t r = 0; r < p; ++r) {
-        if (!holds_root_copy(r)) {
+        if (signals_only ? !knows_root(r) : !holds(r, root_only)) {
           return false;
         }
       }
       return true;
     case CollectiveOp::kReduce:
-      return holds_reduction(schedule.root());
+      return holds(root, everyone);
     case CollectiveOp::kAllreduce:
       for (std::size_t r = 0; r < p; ++r) {
-        if (!holds_reduction(r)) {
+        if (!holds(r, everyone)) {
           return false;
         }
       }

@@ -134,17 +134,33 @@ class CollectiveSchedule {
 CollectiveSchedule from_barrier(const Schedule& schedule,
                                 std::size_t elem_bytes = 8);
 
-/// Dataflow validity: simulates the schedule over per-(rank, segment)
-/// contribution-count vectors (segments are the partition of the
-/// element space induced by all edge range boundaries) and checks the
-/// final state implements the op: broadcast — every rank holds exactly
-/// the root's data; reduce — the root holds exactly one contribution
-/// from every rank; allreduce — every rank does. The check mirrors the
-/// executor's application order (per stage: snapshot, then per receiver
-/// ascending sources). With elem_count == 0 the data check is vacuous,
-/// so validity becomes the signal pattern's knowledge propagation
-/// instead: the root reaches everyone (broadcast), hears from everyone
-/// (reduce), or the pattern is a full barrier (allreduce, Eq. 3).
+/// Dataflow validity: simulates the schedule over the segments of the
+/// element space (the partition induced by all edge range boundaries)
+/// and checks the final state implements the op: broadcast — every rank
+/// holds exactly the root's data; reduce — the root holds exactly one
+/// contribution from every rank; allreduce — every rank does.
+///
+/// Each (rank, segment) slot holds two bit planes indexed by
+/// contributing rank: `once` (that rank's input is folded in at least
+/// once) and `more` (at least twice). Initially a slot holds only its
+/// own rank in `once`. A combining edge does
+///   more |= in.more | (out.once & in.once);  once |= in.once;
+/// and an overwriting edge copies both planes. The planes are the
+/// contribution count saturated at 2, and saturation commutes with
+/// addition, so the state is exact for the only question the final
+/// check asks (is each count 0, 1 or more) and no number of folds can
+/// wrap it. Reads are staged as in the executor: each stage first
+/// gathers every edge's source slots as they were when the stage began,
+/// then applies the edges in stored (src, dst) order, which is each
+/// receiver's ascending-source order. The cost is the segments the
+/// edges carry times ceil(P / 64) words, plus one sort of the edge
+/// boundaries and one pass over the final state.
+///
+/// With elem_count == 0 the data check is vacuous, so validity becomes
+/// the signal pattern's knowledge propagation (Eq. 3) over one segment:
+/// every signal ORs the sender's `once` plane into the receiver's, and
+/// the root must reach everyone (broadcast), hear from everyone
+/// (reduce), or the pattern must be a full barrier (allreduce).
 bool is_valid_collective(const CollectiveSchedule& schedule);
 
 /// Per-rank payload buffer.
