@@ -13,18 +13,28 @@
 // spread between the three rows is pure runtime overhead: matched
 // send/recv bookkeeping versus fire-and-forget flag stores.
 //
-// Both counters land in BENCH_rma.json via scripts/bench_json.sh and
-// are regression-gated by scripts/bench_compare.py.
+// BM_RmaAssignHybrid times the transport tuner itself: the hybrid
+// per-edge descent of assign_transports() on a plan tuned once for the
+// hex preset at P = 48 and 120 (4 and 10 nodes), re-run on a fresh
+// copy of the untagged schedule each iteration (wall clock).
+//
+// All rows land in BENCH_rma.json via scripts/bench_json.sh and are
+// regression-gated by scripts/bench_compare.py.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 
 #include "barrier/algorithms.hpp"
 #include "barrier/schedule.hpp"
+#include "core/tuner.hpp"
+#include "rma/transport.hpp"
 #include "rma/window.hpp"
 #include "simmpi/communicator.hpp"
 #include "simmpi/executor.hpp"
 #include "simmpi/runtime.hpp"
+#include "topology/generate.hpp"
+#include "topology/machine.hpp"
+#include "topology/mapping.hpp"
 
 namespace {
 
@@ -91,6 +101,26 @@ void BM_RmaEpisode(benchmark::State& state) {
 }
 BENCHMARK(BM_RmaEpisode)
     ->ArgsProduct({{16, 48}, {kTwoSidedRow, kOneSidedRow, kHybridRow}})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_RmaAssignHybrid(benchmark::State& state) {
+  const std::size_t p = static_cast<std::size_t>(state.range(0));
+  const MachineSpec machine = hex_cluster(p / 12);
+  const TuneResult tuned = tune_barrier(
+      generate_profile(machine, round_robin_mapping(machine, p)), {});
+  double cost = 0.0;
+  for (auto _ : state) {
+    Schedule schedule = tuned.schedule();
+    cost = rma::assign_transports(schedule, tuned.profile(),
+                                  tuned.barrier().awaited_stages,
+                                  rma::Transport::kHybrid);
+    benchmark::DoNotOptimize(cost);
+  }
+}
+BENCHMARK(BM_RmaAssignHybrid)
+    ->Arg(48)
+    ->Arg(120)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

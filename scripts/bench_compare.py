@@ -5,8 +5,10 @@ Usage:
     scripts/bench_compare.py BASELINE.json CURRENT.json \
         [--threshold 0.15] [--counter NAME ...] [--filter REGEX]
 
-Compares every benchmark present in both files. The compared metric per
-benchmark is, in order of preference:
+Compares every benchmark present in both files. When a file was written
+with --benchmark_repetitions, the row compared for a benchmark is its
+`median` aggregate; otherwise it is the benchmark's single plain row.
+The compared metric per benchmark is, in order of preference:
 
   1. each counter named by --counter (repeatable) that the benchmark
      reports — higher is better (counters the repo commits are rates:
@@ -14,10 +16,12 @@ benchmark is, in order of preference:
   2. otherwise `real_time` — lower is better.
 
 A change worse than --threshold (default 0.15 = 15%) in the unfavourable
-direction is a regression. Exit status: 0 when no regressions, 1 on any
-regression, 2 on usage/file errors. Benchmarks present in only one file
-are listed but never fail the gate (new or retired benchmarks are
-expected as the repo grows).
+direction is a regression. A baseline benchmark (matching --filter, if
+given) that the current file does not report also fails the gate: a
+benchmark that silently disappears cannot regress. Benchmarks only in
+the current file are listed but never fail (new rows are expected as the
+repo grows). Exit status: 0 when nothing regressed or went missing, 1 on
+any regression or missing baseline benchmark, 2 on usage/file errors.
 
 Typical gate for this repo's committed numbers:
 
@@ -32,6 +36,8 @@ import sys
 
 
 def load_benchmarks(path):
+    """Map each benchmark name to the row to gate on: its `median`
+    aggregate when the file has repetitions, else its plain row."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -39,14 +45,19 @@ def load_benchmarks(path):
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         sys.exit(2)
     benchmarks = {}
+    medians = {}
     for entry in data.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of repetition runs);
-        # plain runs have no aggregate_name.
-        if entry.get("aggregate_name"):
+        # Aggregate rows (mean/median/stddev/cv of a repetition run) are
+        # named "<run_name>_<aggregate>"; key the median by its run name.
+        aggregate = entry.get("aggregate_name")
+        name = entry.get("run_name", entry.get("name"))
+        if not name:
             continue
-        name = entry.get("name")
-        if name:
+        if aggregate == "median":
+            medians[name] = entry
+        elif not aggregate:
             benchmarks[name] = entry
+    benchmarks.update(medians)
     if not benchmarks:
         print(f"error: no benchmarks in {path}", file=sys.stderr)
         sys.exit(2)
@@ -85,10 +96,11 @@ def main():
     curr = load_benchmarks(args.current)
     pattern = re.compile(args.filter) if args.filter else None
 
-    shared = [n for n in base if n in curr]
     if pattern:
-        shared = [n for n in shared if pattern.search(n)]
-    only_base = sorted(n for n in base if n not in curr)
+        base = {n: e for n, e in base.items() if pattern.search(n)}
+        curr = {n: e for n, e in curr.items() if pattern.search(n)}
+    shared = [n for n in base if n in curr]
+    missing = sorted(n for n in base if n not in curr)
     only_curr = sorted(n for n in curr if n not in base)
 
     regressions = []
@@ -113,27 +125,34 @@ def main():
             if regressed:
                 regressions.append((name, metric, change))
 
-    if not rows:
+    if not rows and not missing:
         print("error: no comparable benchmarks between the two files",
               file=sys.stderr)
         sys.exit(2)
 
-    width = max(len(f"{name} [{metric}]") for name, metric, *_ in rows)
+    width = max((len(f"{name} [{metric}]") for name, metric, *_ in rows),
+                default=0)
     for name, metric, old_value, new_value, change, regressed in rows:
         flag = "  REGRESSION" if regressed else ""
         print(f"{f'{name} [{metric}]':<{width}}  "
               f"{old_value:>14.4g} -> {new_value:>14.4g}  "
               f"{change:+8.1%}{flag}")
-    for name in only_base:
-        print(f"{name}: only in baseline (skipped)")
+    for name in missing:
+        print(f"{name}: MISSING from current")
     for name in only_curr:
         print(f"{name}: only in current (skipped)")
 
-    if regressions:
-        print(f"\n{len(regressions)} regression(s) beyond "
-              f"{args.threshold:.0%}:", file=sys.stderr)
-        for name, metric, change in regressions:
-            print(f"  {name} [{metric}]: {change:+.1%}", file=sys.stderr)
+    if regressions or missing:
+        if regressions:
+            print(f"\n{len(regressions)} regression(s) beyond "
+                  f"{args.threshold:.0%}:", file=sys.stderr)
+            for name, metric, change in regressions:
+                print(f"  {name} [{metric}]: {change:+.1%}", file=sys.stderr)
+        if missing:
+            print(f"\n{len(missing)} baseline benchmark(s) missing from "
+                  f"{args.current}:", file=sys.stderr)
+            for name in missing:
+                print(f"  {name}", file=sys.stderr)
         sys.exit(1)
     print(f"\nOK: {len(rows)} comparison(s), none worse than "
           f"{args.threshold:.0%}.")

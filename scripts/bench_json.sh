@@ -19,9 +19,15 @@
 #                           queue engine vs reference, P = 120/1000 x
 #                           dissemination/heap-tree/radix-4 families)
 #   BENCH_rma.json        — bench_rma (one-sided flag-store puts/sec on
-#                           the sharded board, plus episode throughput
+#                           the sharded board, episode throughput
 #                           with two-sided / one-sided / hybrid
-#                           transport on pooled ranks)
+#                           transport on pooled ranks, and the wall
+#                           time of the hybrid transport assignment on
+#                           tuned hex plans, BM_RmaAssignHybrid); five
+#                           repetitions, interleaved across rows so a
+#                           median spans the whole run rather than one
+#                           phase of a shared host; the gate reads the
+#                           median rows
 #   BENCH_service.json    — bench_service (plan-service mixed soak: 1M
 #                           ops across 4 clients with the background
 #                           repair worker live; ops_per_second gated,
@@ -49,11 +55,14 @@ for bench in bench_predict_throughput bench_tuning_speed bench_collective \
   fi
 done
 
+# run BENCH OUT [EXTRA-ARGS...]
 run() {
   local bench="$1" out="$2"
+  shift 2
   "$BUILD_DIR/bench/$bench" \
     --benchmark_format=json \
     ${FILTER:+--benchmark_filter="$FILTER"} \
+    "$@" \
     >"$out"
   echo "wrote $out"
 }
@@ -64,6 +73,7 @@ run bench_collective BENCH_collective.json
 run bench_thread_runtime BENCH_runtime.json
 run bench_overlap BENCH_overlap.json
 run bench_netsim BENCH_netsim.json
-run bench_rma BENCH_rma.json
+run bench_rma BENCH_rma.json --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true
 run bench_service BENCH_service.json
 run bench_scale BENCH_scale.json

@@ -190,6 +190,50 @@ void CompiledSchedule::compile_edges(
   }
 }
 
+void CompiledSchedule::set_one_sided(std::size_t s, std::size_t rank,
+                                     std::size_t k, bool put,
+                                     const TopologyProfile& profile) {
+  OPTIBAR_REQUIRE(profile.ranks() == p_,
+                  "profile has " << profile.ranks() << " ranks, compiled "
+                                 << "schedule has " << p_);
+  OPTIBAR_REQUIRE(s < stages_ && rank < p_,
+                  "no row for rank " << rank << " in stage " << s);
+  const std::size_t r = row(rank, s);
+  const std::size_t first = tgt_offsets_[r];
+  const std::size_t last = tgt_offsets_[r + 1];
+  OPTIBAR_REQUIRE(k < last - first, "rank " << rank << " has "
+                                            << last - first
+                                            << " targets in stage " << s
+                                            << ", no edge " << k);
+  // The edge's terms, exactly as compile() derives them from a tag.
+  const std::size_t e = first + k;
+  const std::size_t j = tgt_index_[e];
+  tgt_o_[e] = put ? profile.o(rank, rank) : profile.o(rank, j);
+  tgt_r_[e] = put ? profile.r(rank, j) : 0.0;
+  tgt_rma_[e] = put ? 1 : 0;
+  double max_o = 0.0;
+  for (std::size_t q = first; q < last; ++q) {
+    max_o = std::max(max_o, tgt_o_[q]);
+  }
+  max_o_[r] = max_o;
+
+  // The receiver's row: sources are ascending, so the edge's source
+  // entry is a binary search away; the two-sided L sum is re-summed in
+  // compile()'s ascending-source order.
+  const std::size_t rr = row(j, s);
+  const std::size_t* sources = src_index_.data();
+  const std::size_t* source = std::lower_bound(
+      sources + src_offsets_[rr], sources + src_offsets_[rr + 1], rank);
+  src_rma_[static_cast<std::size_t>(source - sources)] = put ? 1 : 0;
+  double recv_l = 0.0;
+  for (std::size_t q = src_offsets_[rr]; q < src_offsets_[rr + 1]; ++q) {
+    if (!src_rma_[q]) {
+      recv_l += profile.l(src_index_[q], j);
+    }
+  }
+  recv_l_[rr] = recv_l;
+}
+
 void predict_into(const CompiledSchedule& compiled,
                   const PredictOptions& options, PredictWorkspace& workspace,
                   Prediction& out) {

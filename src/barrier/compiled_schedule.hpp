@@ -15,7 +15,10 @@
 //                        the batch cost: sum of L over targets, max of O
 //                        over targets, O(i,i), and the receiver-side sum
 //                        of L over sources. Evaluation never touches the
-//                        O/L matrices again.
+//                        O/L matrices again. set_one_sided() re-tags a
+//                        single edge in place, so the transport tuner
+//                        (src/rma/transport.hpp) prices each flip
+//                        without recompiling the schedule.
 //   PredictWorkspace   — reusable scratch (ready/next vectors, the flat
 //                        dense-resource-id accumulators of the shared-
 //                        egress bound). With a warm workspace,
@@ -35,6 +38,14 @@
 // ascending, resources in (sender, target) scan order), so critical
 // paths, rank completion times and stage increments — and therefore
 // every tuned plan — are bit-identical to predict_reference().
+// set_one_sided() keeps that contract under patching. It rewrites every
+// term compile() derives from a tag: the edge's effective O, R and tag,
+// the receiver's source tag, and two row terms, the sender's max O and
+// the receiver's two-sided L sum. It re-derives those row terms with
+// compile()'s own ascending loops instead of adding or subtracting the
+// edge's share (floating-point sums do not round-trip), so a patched
+// CompiledSchedule equals a fresh compile() of the same tagging field
+// for field.
 #pragma once
 
 #include <cstddef>
@@ -86,6 +97,15 @@ class CompiledSchedule {
   void compile_edges(std::size_t ranks,
                      const std::vector<std::vector<CompiledEdge>>& stage_edges,
                      const std::vector<double>& self_overhead);
+
+  /// Re-tag edge `k` of targets(rank, s) in place as a put (`put`) or
+  /// a two-sided signal. Afterwards every field equals compile() of the
+  /// equivalently tagged Schedule, bit for bit (see the bit-identity
+  /// contract above). `profile` must be the one compile() bound; not
+  /// for compile_edges() bindings. O(out-degree + in-degree), no
+  /// allocation.
+  void set_one_sided(std::size_t s, std::size_t rank, std::size_t k, bool put,
+                     const TopologyProfile& profile);
 
   std::size_t ranks() const { return p_; }
   std::size_t stage_count() const { return stages_; }

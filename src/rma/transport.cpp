@@ -1,6 +1,9 @@
 #include "rma/transport.hpp"
 
-#include "barrier/cost_model.hpp"
+#include <cstdint>
+#include <span>
+
+#include "barrier/compiled_schedule.hpp"
 #include "util/error.hpp"
 
 namespace optibar::rma {
@@ -51,63 +54,69 @@ double assign_transports(Schedule& schedule, const TopologyProfile& profile,
                                  << p);
   PredictOptions options;
   options.awaited_stages = awaited_stages;
-  const auto cost = [&] { return predicted_time(schedule, profile, options); };
-  const auto clear_all = [&] {
-    for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-      schedule.set_transport(s, StageMatrix(p, p, 0));
-    }
-  };
-  const auto tag_all = [&] {
-    for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-      schedule.set_transport(s, schedule.stage(s));
-    }
-  };
-
-  if (policy == Transport::kTwoSided) {
-    clear_all();
-    return cost();
+  for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
+    schedule.set_transport(s, policy == Transport::kOneSided
+                                  ? schedule.stage(s)
+                                  : StageMatrix());
   }
-  if (policy == Transport::kOneSided) {
-    tag_all();
-    return cost();
+  if (policy != Transport::kHybrid) {
+    return predicted_time(schedule, profile, options);
   }
 
-  // Hybrid: start from the cheaper uniform assignment, then flip
-  // single edges while the predicted critical path strictly improves.
-  clear_all();
+  // Hybrid: compile the untagged schedule once. From here on the tags
+  // live in the compiled CSR; a candidate flip is one set_one_sided()
+  // patch plus one compiled evaluation, bit-identical to recompiling
+  // the re-tagged schedule, so every accept/reject decision — and the
+  // final tagging — is what a per-flip recompile would produce.
+  CompiledSchedule compiled(schedule, profile);
+  PredictWorkspace workspace;
+  const auto cost = [&] {
+    return predicted_time(compiled, options, workspace);
+  };
+  // Every edge in (stage, src, dst) order: targets() is ascending.
+  const auto for_each_edge = [&](const auto& visit) {
+    for (std::size_t s = 0; s < compiled.stage_count(); ++s) {
+      for (std::size_t i = 0; i < p; ++i) {
+        for (std::size_t k = 0; k < compiled.targets(i, s).size(); ++k) {
+          visit(s, i, k);
+        }
+      }
+    }
+  };
+  const auto is_put = [&](std::size_t s, std::size_t i, std::size_t k) {
+    return compiled.target_one_sided(i, s)[k] != 0;
+  };
+  const auto flip = [&](std::size_t s, std::size_t i, std::size_t k) {
+    compiled.set_one_sided(s, i, k, !is_put(s, i, k), profile);
+  };
+  const auto set_all = [&](bool put) {
+    for_each_edge([&](std::size_t s, std::size_t i, std::size_t k) {
+      compiled.set_one_sided(s, i, k, put, profile);
+    });
+  };
+
+  // Start from the cheaper uniform assignment, then flip single edges
+  // while the predicted critical path strictly improves.
   double best = cost();
-  tag_all();
+  set_all(true);
   const double all_one_sided = cost();
   if (all_one_sided < best) {
     best = all_one_sided;
   } else {
-    clear_all();
+    set_all(false);
   }
   for (int pass = 0; pass < kMaxHybridPasses; ++pass) {
     bool improved = false;
-    for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-      const StageMatrix& stage = schedule.stage(s);
-      for (std::size_t i = 0; i < p; ++i) {
-        for (std::size_t j = 0; j < p; ++j) {
-          if (!stage(i, j)) {
-            continue;
-          }
-          const StageMatrix before = schedule.transport(s).empty()
-                                         ? StageMatrix(p, p, 0)
-                                         : schedule.transport(s);
-          StageMatrix flipped = before;
-          flipped(i, j) = flipped(i, j) ? 0 : 1;
-          schedule.set_transport(s, std::move(flipped));
-          const double flipped_cost = cost();
-          if (flipped_cost < best) {
-            best = flipped_cost;
-            improved = true;
-          } else {
-            schedule.set_transport(s, before);
-          }
-        }
+    for_each_edge([&](std::size_t s, std::size_t i, std::size_t k) {
+      flip(s, i, k);
+      const double flipped_cost = cost();
+      if (flipped_cost < best) {
+        best = flipped_cost;
+        improved = true;
+      } else {
+        flip(s, i, k);
       }
-    }
+    });
     if (!improved) {
       break;
     }
@@ -119,28 +128,35 @@ double assign_transports(Schedule& schedule, const TopologyProfile& profile,
   // equal-cost untags here means the returned schedule carries puts
   // only where the model says they earn their keep. Each accepted flip
   // removes a tag and never raises the cost, so the loop terminates.
-  for (bool changed = true; changed && schedule.has_one_sided();) {
+  for (bool changed = true; changed;) {
     changed = false;
-    for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-      for (std::size_t i = 0; i < p; ++i) {
-        for (std::size_t j = 0; j < p; ++j) {
-          if (schedule.transport(s).empty() || !schedule.one_sided(s, i, j)) {
-            continue;
-          }
-          const StageMatrix before = schedule.transport(s);
-          StageMatrix untagged = before;
-          untagged(i, j) = 0;
-          schedule.set_transport(s, std::move(untagged));
-          const double untagged_cost = cost();
-          if (untagged_cost <= best) {
-            best = untagged_cost;
-            changed = true;
-          } else {
-            schedule.set_transport(s, before);
-          }
-        }
+    for_each_edge([&](std::size_t s, std::size_t i, std::size_t k) {
+      if (!is_put(s, i, k)) {
+        return;
+      }
+      flip(s, i, k);
+      const double untagged_cost = cost();
+      if (untagged_cost <= best) {
+        best = untagged_cost;
+        changed = true;
+      } else {
+        flip(s, i, k);
+      }
+    });
+  }
+
+  // Write the surviving tags back, one set_transport() per stage.
+  for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
+    StageMatrix tags(p, p, 0);
+    for (std::size_t i = 0; i < p; ++i) {
+      const std::span<const std::size_t> targets = compiled.targets(i, s);
+      const std::span<const std::uint8_t> one_sided =
+          compiled.target_one_sided(i, s);
+      for (std::size_t k = 0; k < targets.size(); ++k) {
+        tags(i, targets[k]) = one_sided[k];
       }
     }
+    schedule.set_transport(s, std::move(tags));
   }
   return best;
 }

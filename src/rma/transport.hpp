@@ -22,9 +22,14 @@
 //               normalize by untagging every put whose removal does
 //               not raise the cost — so the result carries puts only
 //               where the model says they earn their keep, never as
-//               leftovers of the all-one-sided start. The predictor is
-//               the compiled Eq. 1/2 kernel, so each flip costs one
-//               compile + evaluate; the whole procedure is
+//               leftovers of the all-one-sided start. The schedule is
+//               compiled once (CompiledSchedule); a flip is one
+//               set_one_sided() edge patch, O(out-degree + in-degree),
+//               plus one compiled evaluation, bit-identical to
+//               recompiling the re-tagged schedule. The tags live in
+//               the compiled CSR during the search and are written
+//               back into the Schedule once, one set_transport() per
+//               stage, at the end. The whole procedure is
 //               deterministic (stages ascending, edges in (src, dst)
 //               scan order).
 #pragma once

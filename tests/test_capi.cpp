@@ -460,7 +460,13 @@ TEST_F(CapiTest, TuneHybridV2ReportsTransportAndCost) {
 
 TEST_F(CapiTest, TuneHybridV2ClassifiesCallerErrors) {
   double seconds = -1.0;
-  optibar_transport transport = static_cast<optibar_transport>(99);
+  // A byte pattern no enumerator has, checked as bytes: loading it as
+  // an optibar_transport would be undefined behaviour.
+  constexpr int kPattern = 0xA5;
+  optibar_transport transport{};
+  std::memset(&transport, kPattern, sizeof transport);
+  unsigned char untouched[sizeof transport] = {};
+  std::memset(untouched, kPattern, sizeof untouched);
   size_t signals = 12345;
   EXPECT_EQ(optibar_tune_hybrid_v2(nullptr, &seconds, &transport, &signals),
             OPTIBAR_ERR_INVALID_ARGUMENT);
@@ -469,7 +475,7 @@ TEST_F(CapiTest, TuneHybridV2ClassifiesCallerErrors) {
             std::string::npos);
   // The failure left every out parameter unwritten.
   EXPECT_DOUBLE_EQ(seconds, -1.0);
-  EXPECT_EQ(static_cast<int>(transport), 99);
+  EXPECT_EQ(std::memcmp(&transport, untouched, sizeof transport), 0);
   EXPECT_EQ(signals, 12345u);
 }
 

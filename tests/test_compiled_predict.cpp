@@ -4,11 +4,15 @@
 // critical_path, rank_completion and stage_increment — across random
 // schedules, profiles and every PredictOptions combination. This is the
 // guarantee that lets the tuning engine switch kernels without changing
-// a single tuned plan.
+// a single tuned plan. Edge patches (set_one_sided) are held to the same
+// standard: a patched kernel must equal a fresh compile of the
+// equivalently tagged schedule, field for field.
 #include "barrier/compiled_schedule.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -96,10 +100,101 @@ void expect_identical(const Prediction& a, const Prediction& b) {
   EXPECT_EQ(a.stage_increment, b.stage_increment);
 }
 
+template <typename T>
+std::vector<T> to_vector(std::span<const T> span) {
+  return {span.begin(), span.end()};
+}
+
+/// Every term compile() derives from a transport tag, compared exactly
+/// (EXPECT_EQ on doubles: bit for bit, not approximately).
+void expect_same_tagging(const CompiledSchedule& patched,
+                         const CompiledSchedule& fresh) {
+  ASSERT_EQ(patched.ranks(), fresh.ranks());
+  ASSERT_EQ(patched.stage_count(), fresh.stage_count());
+  for (std::size_t s = 0; s < fresh.stage_count(); ++s) {
+    for (std::size_t i = 0; i < fresh.ranks(); ++i) {
+      EXPECT_EQ(to_vector(patched.target_overhead(i, s)),
+                to_vector(fresh.target_overhead(i, s)));
+      EXPECT_EQ(to_vector(patched.target_rma_latency(i, s)),
+                to_vector(fresh.target_rma_latency(i, s)));
+      EXPECT_EQ(to_vector(patched.target_one_sided(i, s)),
+                to_vector(fresh.target_one_sided(i, s)));
+      EXPECT_EQ(to_vector(patched.source_one_sided(i, s)),
+                to_vector(fresh.source_one_sided(i, s)));
+      EXPECT_EQ(patched.batch_cost(i, s, false), fresh.batch_cost(i, s, false));
+      EXPECT_EQ(patched.batch_cost(i, s, true), fresh.batch_cost(i, s, true));
+      EXPECT_EQ(patched.recv_processing(i, s), fresh.recv_processing(i, s));
+    }
+  }
+}
+
+/// How often the patch sequences below hit the row shapes that matter.
+struct PatchCoverage {
+  std::size_t single_target_rows = 0;  ///< patched sender has 1 target
+  std::size_t multi_target_rows = 0;   ///< patched sender has >= 2
+  std::size_t all_put_receivers = 0;   ///< >= 2 sources, every one a put
+};
+
+/// Apply a seeded random sequence of set_one_sided() patches to
+/// `schedule` compiled untagged against `profile`, mirroring each patch
+/// into a transport matrix; after every patch the kernel must equal a
+/// fresh compile() of the equivalently tagged Schedule and predict like
+/// predict_reference(). The sequence ends by tagging every source of one
+/// receiver per stage, so all-put receive rows are covered too.
+void check_patch_sequence(const Schedule& schedule,
+                          const TopologyProfile& profile,
+                          const PredictOptions& options, Rng& rng,
+                          PatchCoverage& coverage) {
+  const std::size_t p = schedule.ranks();
+  if (schedule.stage_count() == 0) {
+    return;
+  }
+  CompiledSchedule patched(schedule, profile);
+  Schedule tagged = schedule;
+  std::vector<StageMatrix> tags(schedule.stage_count(), StageMatrix(p, p, 0));
+  CompiledSchedule fresh;
+  PredictWorkspace workspace;
+  Prediction out;
+  const auto patch = [&](std::size_t s, std::size_t i, std::size_t k,
+                         bool put) {
+    const std::size_t degree = patched.targets(i, s).size();
+    coverage.single_target_rows += degree == 1 ? 1 : 0;
+    coverage.multi_target_rows += degree >= 2 ? 1 : 0;
+    tags[s](i, patched.targets(i, s)[k]) = put ? 1 : 0;
+    patched.set_one_sided(s, i, k, put, profile);
+    tagged.set_transport(s, tags[s]);
+    fresh.compile(tagged, profile);
+    expect_same_tagging(patched, fresh);
+    predict_into(patched, options, workspace, out);
+    expect_identical(out, predict_reference(tagged, profile, options));
+  };
+  for (std::size_t step = 0; step < 12; ++step) {
+    const std::size_t s = rng.next_below(schedule.stage_count());
+    const std::size_t i = rng.next_below(p);
+    const std::size_t degree = patched.targets(i, s).size();
+    if (degree > 0) {
+      patch(s, i, rng.next_below(degree), rng.next_below(3) != 0);
+    }
+  }
+  for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
+    const std::size_t j = rng.next_below(p);
+    const std::span<const std::size_t> sources = patched.sources(j, s);
+    for (const std::size_t i : sources) {
+      const std::span<const std::size_t> targets = patched.targets(i, s);
+      const auto k = static_cast<std::size_t>(
+          std::lower_bound(targets.begin(), targets.end(), j) -
+          targets.begin());
+      patch(s, i, k, true);
+    }
+    coverage.all_put_receivers += sources.size() >= 2 ? 1 : 0;
+  }
+}
+
 TEST(CompiledPredict, RandomizedParityWithReference) {
   PredictWorkspace workspace;  // deliberately shared across iterations
   CompiledSchedule compiled;
   Prediction via_kernel;
+  PatchCoverage coverage;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     Rng rng(seed);
     const std::size_t p = 2 + rng.next_below(13);
@@ -117,7 +212,22 @@ TEST(CompiledPredict, RandomizedParityWithReference) {
     expect_identical(via_kernel, reference);
     EXPECT_EQ(predicted_time(compiled, options, workspace),
               reference.critical_path);
+
+    // The same schedule re-tagged edge by edge, against a profile with
+    // its own R matrix so puts are priced apart from L.
+    TopologyProfile rma_profile = profile;
+    Matrix<double> r(p, p, 0.0);
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t j = 0; j < p; ++j) {
+        r(i, j) = i == j ? 0.0 : rng.uniform(1e-7, 2e-5);
+      }
+    }
+    rma_profile.set_rma_latency(std::move(r));
+    check_patch_sequence(schedule, rma_profile, options, rng, coverage);
   }
+  EXPECT_GT(coverage.single_target_rows, 0u);
+  EXPECT_GT(coverage.multi_target_rows, 0u);
+  EXPECT_GT(coverage.all_put_receivers, 0u);
 }
 
 TEST(CompiledPredict, ParityOnTunedStructures) {

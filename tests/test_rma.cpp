@@ -2,15 +2,18 @@
 // communicator's flag board, epoch double-buffering across many
 // episodes without reset barriers, mixed-transport schedule execution
 // on the threaded runtime, the nonblocking handle lifecycle over RMA
-// edges, putdrop fault surfacing, transport assignment policies, and
-// the hybrid-beats-classic acceptance sweep on the hex preset with
-// netsim agreeing on the ordering.
+// edges, putdrop fault surfacing, transport assignment policies, the
+// hybrid-beats-classic acceptance sweep on the hex preset with netsim
+// agreeing on the ordering, and the differential test that pins the
+// edge-patching transport tuner to the per-flip-recompile oracle.
 #include "rma/window.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <chrono>
+#include <iostream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "topology/machine.hpp"
 #include "topology/mapping.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace optibar {
 namespace {
@@ -246,6 +250,123 @@ TEST(RmaExecutor, PutdropReportsAreBitReproducible) {
   EXPECT_TRUE(first.stalled);
 }
 
+/// Which branches of reference_assign_transports() ran, summed over a
+/// corpus, so the differential test can show it exercised every one.
+struct ReferenceBranches {
+  std::size_t accepted_flips = 0;    ///< descent flips kept
+  std::size_t late_accepts = 0;      ///< of those, kept in pass >= 2
+  std::size_t one_sided_starts = 0;  ///< all-one-sided start was cheaper
+  std::size_t two_sided_starts = 0;  ///< all-two-sided start kept
+  std::size_t untags = 0;            ///< normalization untags kept
+};
+
+/// The oracle: the same descent priced the direct way. Every candidate
+/// tagging is written into the Schedule and priced by
+/// predicted_time(schedule, ...), which recompiles the whole schedule;
+/// assign_transports() must reach the same cost and tagging by patching
+/// one compiled edge per flip. Only the branch counters are added.
+double reference_assign_transports(Schedule& schedule,
+                                   const TopologyProfile& profile,
+                                   const std::vector<bool>& awaited_stages,
+                                   rma::Transport policy,
+                                   ReferenceBranches& branches) {
+  constexpr int kMaxHybridPasses = 3;
+  const std::size_t p = schedule.ranks();
+  OPTIBAR_REQUIRE(profile.ranks() == p,
+                  "profile has " << profile.ranks() << " ranks, schedule has "
+                                 << p);
+  PredictOptions options;
+  options.awaited_stages = awaited_stages;
+  const auto cost = [&] { return predicted_time(schedule, profile, options); };
+  const auto clear_all = [&] {
+    for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
+      schedule.set_transport(s, StageMatrix(p, p, 0));
+    }
+  };
+  const auto tag_all = [&] {
+    for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
+      schedule.set_transport(s, schedule.stage(s));
+    }
+  };
+
+  if (policy == rma::Transport::kTwoSided) {
+    clear_all();
+    return cost();
+  }
+  if (policy == rma::Transport::kOneSided) {
+    tag_all();
+    return cost();
+  }
+
+  clear_all();
+  double best = cost();
+  tag_all();
+  const double all_one_sided = cost();
+  if (all_one_sided < best) {
+    best = all_one_sided;
+    ++branches.one_sided_starts;
+  } else {
+    clear_all();
+    ++branches.two_sided_starts;
+  }
+  for (int pass = 0; pass < kMaxHybridPasses; ++pass) {
+    bool improved = false;
+    for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
+      const StageMatrix& stage = schedule.stage(s);
+      for (std::size_t i = 0; i < p; ++i) {
+        for (std::size_t j = 0; j < p; ++j) {
+          if (!stage(i, j)) {
+            continue;
+          }
+          const StageMatrix before = schedule.transport(s).empty()
+                                         ? StageMatrix(p, p, 0)
+                                         : schedule.transport(s);
+          StageMatrix flipped = before;
+          flipped(i, j) = flipped(i, j) ? 0 : 1;
+          schedule.set_transport(s, std::move(flipped));
+          const double flipped_cost = cost();
+          if (flipped_cost < best) {
+            best = flipped_cost;
+            improved = true;
+            ++branches.accepted_flips;
+            branches.late_accepts += pass >= 1 ? 1 : 0;
+          } else {
+            schedule.set_transport(s, before);
+          }
+        }
+      }
+    }
+    if (!improved) {
+      break;
+    }
+  }
+  for (bool changed = true; changed && schedule.has_one_sided();) {
+    changed = false;
+    for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
+      for (std::size_t i = 0; i < p; ++i) {
+        for (std::size_t j = 0; j < p; ++j) {
+          if (schedule.transport(s).empty() || !schedule.one_sided(s, i, j)) {
+            continue;
+          }
+          const StageMatrix before = schedule.transport(s);
+          StageMatrix untagged = before;
+          untagged(i, j) = 0;
+          schedule.set_transport(s, std::move(untagged));
+          const double untagged_cost = cost();
+          if (untagged_cost <= best) {
+            best = untagged_cost;
+            changed = true;
+            ++branches.untags;
+          } else {
+            schedule.set_transport(s, before);
+          }
+        }
+      }
+    }
+  }
+  return best;
+}
+
 TEST(RmaTransport, PolicyNamesRoundTrip) {
   for (const rma::Transport t :
        {rma::Transport::kTwoSided, rma::Transport::kOneSided,
@@ -346,6 +467,86 @@ TEST(RmaTransport, HybridBeatsClassicOnHexPreset) {
   for (std::size_t rank = 0; rank < hybrid.completion.size(); ++rank) {
     EXPECT_EQ(hybrid.completion[rank], hybrid_ref.completion[rank]) << rank;
   }
+}
+
+TEST(RmaTransport, PatchingTunerMatchesRecompilingReference) {
+  // Every policy, on tuned plans and classic algorithms over the quad
+  // and hex presets, must return the oracle's cost bit for bit and the
+  // identical tagged Schedule; the corpus must reach every branch of
+  // the hybrid descent.
+  ReferenceBranches branches;
+  std::size_t hybrid_cases = 0;
+  std::size_t mismatches = 0;
+  const auto check = [&](const Schedule& base, const TopologyProfile& profile,
+                         const std::vector<bool>& awaited,
+                         const std::string& label) {
+    for (const rma::Transport policy :
+         {rma::Transport::kTwoSided, rma::Transport::kOneSided,
+          rma::Transport::kHybrid}) {
+      Schedule expected = base;
+      Schedule patched = base;
+      const double expected_cost = reference_assign_transports(
+          expected, profile, awaited, policy, branches);
+      const double patched_cost =
+          rma::assign_transports(patched, profile, awaited, policy);
+      if (patched_cost != expected_cost || !(patched == expected)) {
+        ++mismatches;
+        ADD_FAILURE() << label << " " << rma::transport_name(policy) << ": "
+                      << patched_cost << " vs " << expected_cost;
+      }
+      hybrid_cases += policy == rma::Transport::kHybrid ? 1 : 0;
+    }
+  };
+
+  Rng rng(16);
+  for (const bool hex : {false, true}) {
+    for (std::size_t nodes = 1; nodes <= 6; ++nodes) {
+      const MachineSpec m = hex ? hex_cluster(nodes) : quad_cluster(nodes);
+      const std::size_t max_p = m.total_cores();
+      for (const std::size_t p : {std::size_t{2}, std::size_t{5}, max_p / 2,
+                                  max_p}) {
+        const std::string label = (hex ? "hex " : "quad ") +
+                                  std::to_string(nodes) + "x P=" +
+                                  std::to_string(p);
+        const TopologyProfile profile = generate_profile(
+            m, round_robin_mapping(m, p), GenerateOptions{});
+        const TuneResult tuned = tune_barrier(profile, {});
+        check(tuned.schedule(), tuned.profile(),
+              tuned.barrier().awaited_stages, label + " tuned");
+        for (const Schedule& classic : {dissemination_barrier(p),
+                                        tree_barrier(p), linear_barrier(p)}) {
+          check(classic, profile, {}, label + " classic");
+          std::vector<bool> awaited(classic.stage_count());
+          for (std::size_t s = 0; s < awaited.size(); ++s) {
+            awaited[s] = rng.next_below(2) != 0;
+          }
+          check(classic, profile, awaited, label + " classic, random awaited");
+        }
+      }
+    }
+  }
+  // The paper-scale plan: hex_cluster(10), all 120 cores.
+  const MachineSpec paper = hex_cluster(10);
+  const TopologyProfile paper_profile = generate_profile(
+      paper, round_robin_mapping(paper, paper.total_cores()),
+      GenerateOptions{});
+  const TuneResult paper_tuned = tune_barrier(paper_profile, {});
+  check(paper_tuned.schedule(), paper_tuned.profile(),
+        paper_tuned.barrier().awaited_stages, "hex 10x P=120 tuned");
+
+  EXPECT_EQ(mismatches, 0u) << "of " << hybrid_cases << " hybrid cases";
+  EXPECT_GT(branches.accepted_flips, 0u);
+  EXPECT_GT(branches.late_accepts, 0u);
+  EXPECT_GT(branches.one_sided_starts, 0u);
+  EXPECT_GT(branches.two_sided_starts, 0u);
+  EXPECT_GT(branches.untags, 0u);
+  std::cout << "[          ] " << hybrid_cases << " hybrid cases, "
+            << mismatches << " mismatches; branch hits: "
+            << branches.accepted_flips << " accepted flips, "
+            << branches.late_accepts << " in pass >= 2, "
+            << branches.one_sided_starts << " one-sided starts, "
+            << branches.two_sided_starts << " two-sided starts, "
+            << branches.untags << " untags\n";
 }
 
 }  // namespace
