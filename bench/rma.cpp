@@ -18,11 +18,20 @@
 // hex preset at P = 48 and 120 (4 and 10 nodes), re-run on a fresh
 // copy of the untagged schedule each iteration (wall clock).
 //
+// BM_RmaFreshWorldEpisode is the per-world cost of one hybrid episode:
+// the same hex plans, tagged hybrid once outside the loop; each
+// iteration builds a zero-latency Communicator and its rank contexts,
+// posts every rank, steps test() from this one thread until all ranks
+// are done, and tears the world down. That includes allocating the
+// executor's flag window on the first post, which BM_RmaEpisode, on
+// one reused communicator, never pays again.
+//
 // All rows land in BENCH_rma.json via scripts/bench_json.sh and are
 // regression-gated by scripts/bench_compare.py.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <vector>
 
 #include "barrier/algorithms.hpp"
 #include "barrier/schedule.hpp"
@@ -122,5 +131,51 @@ BENCHMARK(BM_RmaAssignHybrid)
     ->Arg(120)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+void BM_RmaFreshWorldEpisode(benchmark::State& state) {
+  const std::size_t p = static_cast<std::size_t>(state.range(0));
+  const MachineSpec machine = hex_cluster(p / 12);
+  const TuneResult tuned = tune_barrier(
+      generate_profile(machine, round_robin_mapping(machine, p)), {});
+  Schedule schedule = tuned.schedule();
+  rma::assign_transports(schedule, tuned.profile(),
+                         tuned.barrier().awaited_stages,
+                         rma::Transport::kHybrid);
+  const ScheduleExecutor executor(schedule);
+  // Every stage completes within one sweep once its senders have run.
+  const std::size_t max_sweeps = 4 * schedule.stage_count() + 16;
+  for (auto _ : state) {
+    Communicator comm(p, zero_latency());
+    std::vector<RankContext> contexts;
+    contexts.reserve(p);
+    for (std::size_t r = 0; r < p; ++r) {
+      contexts.emplace_back(comm, r);
+    }
+    std::vector<ScheduleExecutor::EpisodeHandle> handles;
+    handles.reserve(p);
+    for (std::size_t r = 0; r < p; ++r) {
+      handles.push_back(executor.post(contexts[r], 0));
+    }
+    std::size_t remaining = p;
+    for (std::size_t sweep = 0; remaining > 0 && sweep < max_sweeps;
+         ++sweep) {
+      remaining = 0;
+      for (ScheduleExecutor::EpisodeHandle& handle : handles) {
+        remaining += executor.test(handle) ? 0 : 1;
+      }
+    }
+    if (remaining > 0) {
+      state.SkipWithError("a rank never finished its episode");
+      break;
+    }
+    benchmark::DoNotOptimize(comm.unmatched_operations());
+  }
+  state.counters["episodes_per_second"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_RmaFreshWorldEpisode)
+    ->Arg(48)
+    ->Arg(120)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

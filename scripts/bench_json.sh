@@ -21,9 +21,11 @@
 #   BENCH_rma.json        — bench_rma (one-sided flag-store puts/sec on
 #                           the sharded board, episode throughput
 #                           with two-sided / one-sided / hybrid
-#                           transport on pooled ranks, and the wall
+#                           transport on pooled ranks, the wall
 #                           time of the hybrid transport assignment on
-#                           tuned hex plans, BM_RmaAssignHybrid); five
+#                           tuned hex plans, BM_RmaAssignHybrid, and
+#                           one hybrid episode on a fresh world,
+#                           BM_RmaFreshWorldEpisode); five
 #                           repetitions, interleaved across rows so a
 #                           median spans the whole run rather than one
 #                           phase of a shared host; the gate reads the

@@ -9,17 +9,22 @@
 // native RMA board), the Window wrapper (src/rma/window.hpp), and the
 // tests that assert on raw board state.
 //
-// Per receiving rank the window holds two *epoch buffers* of
-// stages * P words each:
+// A window of `slots` slots holds two *epoch buffers* of `slots` words
+// per rank:
 //
-//   word(e, s, src) = (e % 2) * stages * P  +  s * P  +  src
+//   word(e, slot) = (e % 2) * slots  +  slot
 //
 // and the flag written for episode e is flag_value(e) = e + 1 (zero —
 // the freshly-allocated state — therefore never matches any episode).
+// The executors number each receiver's one-sided in-edges in (stage,
+// source) order and use that ordinal as the edge's slot, so `slots` is
+// the largest one-sided in-degree of any rank.
 //
 // Double buffering is what makes back-to-back episodes need no reset
-// barrier between them. The value a stale word can hold when episode e
-// reuses a buffer is the one episode e-2 wrote there, and
+// barrier between them. A slot belongs to exactly one (stage, source)
+// put edge of its receiver, so within one parity nothing but that edge
+// ever writes it. The value it can hold when episode e reuses the
+// buffer is therefore the one episode e-2 wrote there, and
 // flag_value(e-2) != flag_value(e), so a poll for episode e can never
 // be satisfied by leftover state. Why distance 2 suffices: a rank can
 // only start episode e+2 after every rank finished e+1 (the barrier
@@ -36,18 +41,15 @@
 
 namespace optibar::rma {
 
-/// Words each rank's window needs for a schedule of `stages` stages
-/// over `ranks` ranks: two epoch buffers of stages * ranks flag words.
-constexpr std::size_t words_per_rank(std::size_t stages, std::size_t ranks) {
-  return 2 * stages * ranks;
-}
+/// Words each rank's window needs for `slots` slots: two epoch
+/// buffers of `slots` flag words.
+constexpr std::size_t words_per_rank(std::size_t slots) { return 2 * slots; }
 
-/// Window-relative index of the flag that `src` writes at the receiver
-/// in stage `stage` of episode `episode`.
-constexpr std::size_t word_index(std::size_t episode, std::size_t stage,
-                                 std::size_t src, std::size_t stages,
-                                 std::size_t ranks) {
-  return (episode % 2) * stages * ranks + stage * ranks + src;
+/// Window-relative index of `slot` in episode `episode`'s epoch buffer
+/// of a `slots`-slot window.
+constexpr std::size_t word_index(std::size_t episode, std::size_t slot,
+                                 std::size_t slots) {
+  return (episode % 2) * slots + slot;
 }
 
 /// The value a put of episode `episode` stores; distinct from the

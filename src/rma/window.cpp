@@ -2,19 +2,22 @@
 
 #include <vector>
 
-#include "rma/layout.hpp"
 #include "util/error.hpp"
 
 namespace optibar::rma {
 
 Window::Window(simmpi::Communicator& comm, std::size_t slots)
-    : comm_(comm), slots_(slots), base_(comm.rma_allocate(2 * slots)) {
+    : comm_(comm),
+      slots_(slots),
+      base_(comm.rma_allocate(words_per_rank(slots))) {
   OPTIBAR_REQUIRE(slots > 0, "window needs at least one slot");
 }
 
 Window::Window(simmpi::Communicator& comm, std::uintptr_t key,
                std::size_t slots)
-    : comm_(comm), slots_(slots), base_(comm.rma_region(key, 2 * slots)) {
+    : comm_(comm),
+      slots_(slots),
+      base_(comm.rma_region(key, words_per_rank(slots))) {
   OPTIBAR_REQUIRE(slots > 0, "window needs at least one slot");
 }
 

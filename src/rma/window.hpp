@@ -15,8 +15,9 @@
 //     the distance-2 argument;
 //   * a slot may be awaited by exactly one rank (its owner); any rank
 //     may put into it. Puts to the same slot in the same episode
-//     follow last-put-wins (barrier schedules never do this: a slot is
-//     keyed by its unique source).
+//     follow last-put-wins (barrier schedules never do this: the
+//     executors use the receiver's in-edge ordinal as the slot, so
+//     each slot belongs to one (stage, source) put edge).
 //
 // Executors do not link this library — they drive the Communicator
 // board directly through layout.hpp — so Window exists for tests,
@@ -28,6 +29,7 @@
 #include <cstdint>
 #include <span>
 
+#include "rma/layout.hpp"
 #include "simmpi/communicator.hpp"
 
 namespace optibar::rma {
@@ -51,7 +53,7 @@ class Window {
 
   /// Absolute board index of `slot` in `episode`'s epoch buffer.
   std::size_t word_of(std::size_t episode, std::size_t slot) const {
-    return base_ + (episode % 2) * slots_ + slot;
+    return base_ + word_index(episode, slot, slots_);
   }
 
   /// The flag value episode `episode` signals with (layout.hpp).

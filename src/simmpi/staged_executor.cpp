@@ -85,6 +85,20 @@ Payload* buffer_of(std::vector<Payload>* buffers, std::size_t rank) {
   return buffers != nullptr ? &(*buffers)[rank] : nullptr;
 }
 
+// The slot the receiver with stage incoming list `in` gave its put
+// edge from `src` (the list ascends by source).
+std::size_t receiver_slot(const std::vector<StagedEdge>& in,
+                          std::size_t src) {
+  const auto it = std::lower_bound(
+      in.begin(), in.end(), src, [](const StagedEdge& edge, std::size_t peer) {
+        return edge.peer < peer;
+      });
+  OPTIBAR_ASSERT(it != in.end() && it->peer == src && it->put,
+                 "put edge from rank " << src
+                                       << " has no one-sided incoming end");
+  return it->slot;
+}
+
 }  // namespace
 
 StagedExecutor::StagedExecutor(Table table, std::size_t stages,
@@ -95,20 +109,45 @@ StagedExecutor::StagedExecutor(Table table, std::size_t stages,
       elem_count_(elem_count),
       options_(options) {
   options_.validate();
+  const std::size_t p = table_.size();
   for (const std::vector<StageEdges>& rank : table_) {
     OPTIBAR_ASSERT(rank.size() == stages_, "edge table is not rank x stage");
-    for (const StageEdges& edges : rank) {
-      for (const std::vector<StagedEdge>* list : {&edges.out, &edges.in}) {
-        for (const StagedEdge& edge : *list) {
-          OPTIBAR_ASSERT(edge.offset + edge.count <= elem_count_,
-                         "edge range exceeds the " << elem_count_
-                                                   << "-word buffer");
-          has_one_sided_ = has_one_sided_ || edge.put;
+  }
+  const auto check_edge = [&](const StagedEdge& edge) {
+    OPTIBAR_ASSERT(edge.peer < p, "edge peer " << edge.peer
+                                               << " out of range");
+    OPTIBAR_ASSERT(edge.offset + edge.count <= elem_count_,
+                   "edge range exceeds the " << elem_count_ << "-word buffer");
+  };
+  // One stage-major pass: number each receiver's one-sided in-edges in
+  // (stage, source) order, then stamp every put's sender end with the
+  // receiver's ordinal. The busiest receiver sizes the window.
+  std::vector<std::size_t> in_puts(p, 0);
+  for (std::size_t s = 0; s < stages_; ++s) {
+    for (std::size_t r = 0; r < p; ++r) {
+      std::vector<StagedEdge>& in = table_[r][s].in;
+      for (std::size_t k = 0; k < in.size(); ++k) {
+        check_edge(in[k]);
+        OPTIBAR_ASSERT(k == 0 || in[k - 1].peer < in[k].peer,
+                       "incoming edges not in strictly ascending source "
+                       "order");
+        if (in[k].put) {
+          in[k].slot = in_puts[r]++;
+        }
+      }
+    }
+    for (std::size_t r = 0; r < p; ++r) {
+      for (StagedEdge& edge : table_[r][s].out) {
+        check_edge(edge);
+        if (edge.put) {
+          edge.slot = receiver_slot(table_[edge.peer][s].in, r);
         }
       }
     }
   }
-  const std::size_t p = table_.size();
+  for (const std::size_t count : in_puts) {
+    window_slots_ = std::max(window_slots_, count);
+  }
   if (options_.shared_pool != nullptr) {
     OPTIBAR_REQUIRE(options_.shared_pool->size() >= p,
                     "shared pool has " << options_.shared_pool->size()
@@ -167,24 +206,23 @@ std::size_t StagedExecutor::rma_base(RankContext& ctx, int episode) const {
                   "(the epoch double-buffering is keyed on them)");
   return ctx.communicator().rma_region(
       reinterpret_cast<std::uintptr_t>(this),
-      rma::words_per_rank(stages_, table_.size()));
+      rma::words_per_rank(window_slots_));
 }
 
 std::size_t StagedExecutor::flag_word(std::size_t base, int episode,
-                                      std::size_t stage,
-                                      std::size_t src) const {
-  return base + rma::word_index(static_cast<std::size_t>(episode), stage, src,
-                                stages_, table_.size());
+                                      const StagedEdge& edge) const {
+  return base + rma::word_index(static_cast<std::size_t>(episode), edge.slot,
+                                window_slots_);
 }
 
 void StagedExecutor::issue_puts(RankContext& ctx, const StageEdges& edges,
                                 std::size_t stage, int episode,
                                 std::size_t base) const {
-  // The flag lands in the peer's window at the slot keyed by *this*
-  // rank; the region base is symmetric across ranks.
+  // The flag lands in the peer's window at the slot the peer numbered
+  // for this edge; the region base is symmetric across ranks.
   for (const StagedEdge& edge : edges.out) {
     if (edge.put) {
-      ctx.rma_put(edge.peer, flag_word(base, episode, stage, ctx.rank()),
+      ctx.rma_put(edge.peer, flag_word(base, episode, edge),
                   rma::flag_value(static_cast<std::size_t>(episode)), stage);
     }
   }
@@ -193,10 +231,12 @@ void StagedExecutor::issue_puts(RankContext& ctx, const StageEdges& edges,
 void StagedExecutor::begin_stage(EpisodeHandle& handle,
                                  std::size_t stage) const {
   if (stage == stages_) {
+    // A finished handle owns no heap storage, like a request MPI_Test
+    // freed on completion.
     handle.done_ = true;
-    handle.requests_.clear();
-    handle.flags_.clear();
-    handle.inbox_.clear();
+    std::vector<Request>().swap(handle.requests_);
+    std::vector<Communicator::FlagWait>().swap(handle.flags_);
+    std::vector<Payload>().swap(handle.inbox_);
     return;
   }
   handle.stage_ = stage;
@@ -216,13 +256,13 @@ void StagedExecutor::begin_stage(EpisodeHandle& handle,
     }
   }
   handle.flags_.clear();
-  if (has_one_sided_) {
+  if (window_slots_ > 0) {
     issue_puts(ctx, edges, stage, handle.episode_, handle.rma_base_);
     handle.flags_.reserve(shape.flags);
     for (const StagedEdge& edge : edges.in) {
       if (edge.put) {
         handle.flags_.push_back(Communicator::FlagWait{
-            flag_word(handle.rma_base_, handle.episode_, stage, edge.peer),
+            flag_word(handle.rma_base_, handle.episode_, edge),
             rma::flag_value(static_cast<std::size_t>(handle.episode_))});
       }
     }
@@ -258,7 +298,7 @@ StagedExecutor::EpisodeHandle StagedExecutor::post(RankContext& ctx,
   handle.buffer_ = buffer;
   handle.op_ = op;
   handle.episode_ = episode;
-  if (has_one_sided_) {
+  if (window_slots_ > 0) {
     handle.rma_base_ = rma_base(ctx, episode);
   }
   begin_stage(handle, 0);
@@ -317,9 +357,9 @@ void StagedExecutor::begin_stage_resilient(ResilientEpisodeHandle& handle,
   if (stage == stages_) {
     mine.stage_reached = stages_;
     handle.done_ = true;
-    handle.sends_.clear();
-    handle.recvs_.clear();
-    handle.flags_.clear();
+    std::vector<ResilientEpisodeHandle::SendOp>().swap(handle.sends_);
+    std::vector<ResilientEpisodeHandle::RecvOp>().swap(handle.recvs_);
+    std::vector<ResilientEpisodeHandle::FlagOp>().swap(handle.flags_);
     handle.inbox_.reset();
     return;
   }
@@ -343,7 +383,7 @@ void StagedExecutor::begin_stage_resilient(ResilientEpisodeHandle& handle,
     }
   }
   handle.flags_.clear();
-  if (has_one_sided_) {
+  if (window_slots_ > 0) {
     // Puts complete at issue — nothing joins sends_, nothing retries:
     // the fire-and-forget sender never learns of a putdrop, so only
     // the receiver's flag wait can stall.
@@ -352,8 +392,7 @@ void StagedExecutor::begin_stage_resilient(ResilientEpisodeHandle& handle,
     for (const StagedEdge& edge : edges.in) {
       if (edge.put) {
         handle.flags_.push_back(ResilientEpisodeHandle::FlagOp{
-            edge.peer,
-            flag_word(handle.rma_base_, handle.episode_, stage, edge.peer)});
+            edge.peer, flag_word(handle.rma_base_, handle.episode_, edge)});
       }
     }
   }
@@ -393,7 +432,7 @@ StagedExecutor::ResilientEpisodeHandle StagedExecutor::post_resilient(
   handle.buffer_ = buffer;
   handle.op_ = op;
   handle.episode_ = episode;
-  if (has_one_sided_) {
+  if (window_slots_ > 0) {
     handle.rma_base_ = rma_base(ctx, episode);
   }
   const FaultInjector* faults = ctx.communicator().fault_injector();

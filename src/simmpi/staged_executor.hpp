@@ -10,7 +10,11 @@
 // synchronized issend/irecv pair, or a one-sided put of a flag word
 // into the receiver's window (src/rma/layout.hpp slot layout,
 // double-buffered so back-to-back episodes need no reset barrier).
-// The views translate their schedules into this table and forward.
+// The constructor numbers each rank's one-sided in-edges in (stage,
+// source) order and stamps that ordinal on both ends of the edge as
+// its window slot, so the window holds 2 x the largest one-sided
+// in-degree words per rank. The views translate their schedules into
+// this table and forward.
 //
 // Execution is handle-based (the MPI_Ibarrier / MPI_Iallreduce
 // lifecycle):
@@ -57,6 +61,9 @@ struct StagedEdge {
   std::size_t count = 0;   ///< words carried; 0 = pure signal
   bool combine = false;    ///< incoming: reduce into the buffer, else overwrite
   bool put = false;        ///< one-sided flag put instead of issend/irecv
+  /// Put edges: the receiver's window slot, its ordinal among its
+  /// one-sided in-edges in (stage, source) order. Set by the executor.
+  std::size_t slot = 0;
 };
 
 /// One rank's stage.
@@ -171,11 +178,13 @@ class StagedExecutor {
     bool failed_ = false;
   };
 
-  /// `table` holds `stages` StageEdges per rank; post() requires a
-  /// buffer of `elem_count` words (none when 0). options.validate()
-  /// runs here. With ExecutionMode::kPersistentPool (and no
-  /// shared_pool) the core owns a RankPool of ranks() parked workers;
-  /// with options.shared_pool set, episodes dispatch on that pool.
+  /// `table` holds `stages` StageEdges per rank, each incoming list in
+  /// ascending source order; post() requires a buffer of `elem_count`
+  /// words (none when 0). Put edges get their window slots here, and
+  /// options.validate() runs here. With ExecutionMode::kPersistentPool
+  /// (and no shared_pool) the core owns a RankPool of ranks() parked
+  /// workers; with options.shared_pool set, episodes dispatch on that
+  /// pool.
   StagedExecutor(Table table, std::size_t stages, std::size_t elem_count,
                  const ExecutorOptions& options);
 
@@ -249,9 +258,9 @@ class StagedExecutor {
   // Only on executors with one-sided edges, whose episodes must then be
   // distinct and non-negative (the epoch double-buffering contract).
   std::size_t rma_base(RankContext& ctx, int episode) const;
-  // Window word (region `base`) of the flag `src` puts in `stage`.
-  std::size_t flag_word(std::size_t base, int episode, std::size_t stage,
-                        std::size_t src) const;
+  // Window word (region `base`) of put edge `edge`'s flag.
+  std::size_t flag_word(std::size_t base, int episode,
+                        const StagedEdge& edge) const;
   // Issue the stage's one-sided flag puts.
   void issue_puts(RankContext& ctx, const StageEdges& edges,
                   std::size_t stage, int episode, std::size_t base) const;
@@ -277,7 +286,9 @@ class StagedExecutor {
   std::size_t stages_ = 0;
   std::size_t elem_count_ = 0;
   ExecutorOptions options_;
-  bool has_one_sided_ = false;      ///< any put edge anywhere
+  /// Window slots per rank: the largest one-sided in-degree (0: no
+  /// put edge anywhere, no window).
+  std::size_t window_slots_ = 0;
   std::unique_ptr<RankPool> pool_;  ///< owned kPersistentPool only
 };
 

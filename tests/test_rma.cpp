@@ -2,7 +2,9 @@
 // communicator's flag board, epoch double-buffering across many
 // episodes without reset barriers, mixed-transport schedule execution
 // on the threaded runtime, the nonblocking handle lifecycle over RMA
-// edges, putdrop fault surfacing, transport assignment policies, the
+// edges, window slots keyed by the receiver's in-edge ordinal (a
+// single-thread stepping test and the paper-scale window size),
+// putdrop fault surfacing, transport assignment policies, the
 // hybrid-beats-classic acceptance sweep on the hex preset with netsim
 // agreeing on the ordering, and the differential test that pins the
 // edge-patching transport tuner to the per-flip-recompile oracle.
@@ -10,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <iostream>
@@ -20,6 +23,7 @@
 #include "barrier/algorithms.hpp"
 #include "barrier/cost_model.hpp"
 #include "barrier/schedule.hpp"
+#include "core/tuner.hpp"
 #include "netsim/engine.hpp"
 #include "rma/layout.hpp"
 #include "rma/transport.hpp"
@@ -69,15 +73,26 @@ ResilienceOptions fast_options() {
 }
 
 TEST(RmaLayout, DoubleBufferedWordsAndFlags) {
-  EXPECT_EQ(rma::words_per_rank(3, 4), 24u);  // 2 epochs x 3 stages x 4 ranks
+  const std::size_t slots = 5;
+  EXPECT_EQ(rma::words_per_rank(slots), 10u);  // 2 epochs x 5 slots
   // Consecutive episodes use disjoint epoch buffers; distance-2
   // episodes reuse the buffer but signal a different flag value, so a
   // stale flag can never satisfy a later wait.
-  const std::size_t w0 = rma::word_index(0, 1, 2, 3, 4);
-  const std::size_t w1 = rma::word_index(1, 1, 2, 3, 4);
-  const std::size_t w2 = rma::word_index(2, 1, 2, 3, 4);
+  const std::size_t w0 = rma::word_index(0, 3, slots);
+  const std::size_t w1 = rma::word_index(1, 3, slots);
+  const std::size_t w2 = rma::word_index(2, 3, slots);
   EXPECT_NE(w0, w1);
   EXPECT_EQ(w0, w2);
+  // Every slot of one episode lies inside the window and apart from
+  // every slot of the next.
+  for (std::size_t a = 0; a < slots; ++a) {
+    EXPECT_LT(rma::word_index(1, a, slots), rma::words_per_rank(slots));
+    for (std::size_t b = 0; b < slots; ++b) {
+      EXPECT_NE(rma::word_index(0, a, slots), rma::word_index(1, b, slots));
+      EXPECT_EQ(rma::word_index(0, a, slots) == rma::word_index(0, b, slots),
+                a == b);
+    }
+  }
   EXPECT_NE(rma::flag_value(0), rma::flag_value(2));
   EXPECT_EQ(rma::flag_value(5), 6u);
 }
@@ -212,6 +227,128 @@ TEST(RmaExecutor, HandleLifecycleOverRmaEdges) {
     executor.wait(parked);
     EXPECT_TRUE(parked.done());
   });
+  EXPECT_EQ(comm.unmatched_operations(), 0u);
+}
+
+/// Two ranks, three one-sided stages 0->1, 1->0, 0->1: rank 1 awaits
+/// two puts from the same source, which must land in different slots.
+Schedule ping_pong_ping() {
+  Schedule schedule(2);
+  for (const auto [src, dst] : {std::array<std::size_t, 2>{0, 1},
+                                std::array<std::size_t, 2>{1, 0},
+                                std::array<std::size_t, 2>{0, 1}}) {
+    StageMatrix stage(2, 2, 0);
+    stage(src, dst) = 1;
+    schedule.append_stage(std::move(stage));
+  }
+  tag_all(schedule);
+  return schedule;
+}
+
+TEST(RmaExecutor, SlotsSeparateStagesOfOneSource) {
+  // Stepped from one thread: rank 1 may finish only after rank 0 has
+  // issued its stage-2 put. A window keyed by source alone would let
+  // the stage-0 flag satisfy the stage-2 wait as well.
+  const Schedule schedule = ping_pong_ping();
+  ASSERT_TRUE(schedule.is_barrier());
+  const ScheduleExecutor executor(schedule);
+  Communicator comm(2, zero_latency());
+  RankContext rank0(comm, 0);
+  RankContext rank1(comm, 1);
+  ScheduleExecutor::EpisodeHandle h0 = executor.post(rank0, 0);
+  ScheduleExecutor::EpisodeHandle h1 = executor.post(rank1, 0);
+  EXPECT_FALSE(executor.test(h1));
+  for (int sweep = 0; sweep < 8 && !(h0.done() && h1.done()); ++sweep) {
+    executor.test(h0);
+    executor.test(h1);
+  }
+  EXPECT_TRUE(h0.done());
+  EXPECT_TRUE(h1.done());
+  EXPECT_EQ(comm.unmatched_operations(), 0u);
+}
+
+TEST(RmaExecutor, ResilientSlotsSeparateStagesOfOneSource) {
+  // The same steps through the bounded-wait lifecycle. A zero-width
+  // resilient slice advances at most one stage, so rank 1 gets one
+  // test() per stage: enough to reach stage 2, not to pass it.
+  const Schedule schedule = ping_pong_ping();
+  const ScheduleExecutor executor(schedule);
+  Communicator comm(2, zero_latency());
+  RankContext rank0(comm, 0);
+  RankContext rank1(comm, 1);
+  StallReport report;
+  report.reset(2, schedule.stage_count());
+  const ResilienceOptions options;
+  ScheduleExecutor::ResilientEpisodeHandle h0 =
+      executor.post_resilient(rank0, options, report, 0);
+  ScheduleExecutor::ResilientEpisodeHandle h1 =
+      executor.post_resilient(rank1, options, report, 0);
+  for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
+    EXPECT_FALSE(executor.test(h1)) << "after " << s + 1 << " test() calls";
+  }
+  for (int sweep = 0; sweep < 16 && !(h0.done() && h1.done()); ++sweep) {
+    executor.test(h0);
+    executor.test(h1);
+  }
+  EXPECT_TRUE(h0.succeeded());
+  EXPECT_TRUE(h1.succeeded());
+  report.per_rank[0].finished = h0.succeeded();
+  report.per_rank[1].finished = h1.succeeded();
+  report.finalize();
+  EXPECT_FALSE(report.stalled);
+  // Rank 1 heard both of rank 0's puts, one per stage.
+  EXPECT_EQ(report.per_rank[1].delivered.size(), 2u);
+  EXPECT_EQ(comm.unmatched_operations(), 0u);
+}
+
+TEST(RmaExecutor, WindowHoldsTwiceTheLargestPutInDegree) {
+  // The paper-scale hybrid plan: the executor's window region must be
+  // two epoch buffers of the busiest receiver's one-sided in-degree,
+  // not of stages x ranks.
+  const MachineSpec m = hex_cluster(10);
+  const std::size_t p = m.total_cores();
+  const TuneResult tuned = tune_barrier(
+      generate_profile(m, round_robin_mapping(m, p), GenerateOptions{}), {});
+  Schedule schedule = tuned.schedule();
+  rma::assign_transports(schedule, tuned.profile(),
+                         tuned.barrier().awaited_stages,
+                         rma::Transport::kHybrid);
+  ASSERT_TRUE(schedule.has_one_sided());
+  std::size_t max_in_puts = 0;
+  for (std::size_t r = 0; r < p; ++r) {
+    std::size_t in_puts = 0;
+    for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
+      for (std::size_t src : schedule.sources_of(r, s)) {
+        in_puts += schedule.one_sided(s, src, r) ? 1 : 0;
+      }
+    }
+    max_in_puts = std::max(max_in_puts, in_puts);
+  }
+  const ScheduleExecutor executor(schedule);
+  Communicator comm(p, zero_latency());
+  std::vector<RankContext> contexts;
+  contexts.reserve(p);
+  for (std::size_t r = 0; r < p; ++r) {
+    contexts.emplace_back(comm, r);
+  }
+  std::vector<ScheduleExecutor::EpisodeHandle> handles;
+  for (std::size_t r = 0; r < p; ++r) {
+    handles.push_back(executor.post(contexts[r], 0));
+  }
+  EXPECT_EQ(comm.rma_words(), 2 * max_in_puts);
+  std::cout << "[          ] P=" << p << " hybrid plan: "
+            << schedule.one_sided_signal_count() << " puts, "
+            << comm.rma_words() << " window words per rank, not 2 x "
+            << schedule.stage_count() << " stages x P = "
+            << 2 * schedule.stage_count() * p << "\n";
+  std::size_t remaining = p;
+  for (std::size_t sweep = 0; remaining > 0 && sweep < 64; ++sweep) {
+    remaining = 0;
+    for (ScheduleExecutor::EpisodeHandle& handle : handles) {
+      remaining += executor.test(handle) ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(remaining, 0u);
   EXPECT_EQ(comm.unmatched_operations(), 0u);
 }
 
