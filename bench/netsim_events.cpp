@@ -1,4 +1,4 @@
-// Google-benchmark: discrete-event simulation throughput, calendar-queue
+// Google-benchmark: discrete-event simulation throughput, event-heap
 // engine vs the retained reference engine. netsim stands in for measured
 // execution time everywhere the tuner needs feedback (workload sweeps,
 // retuning, overlap CI runs), so simulated events/sec is the direct
@@ -14,7 +14,7 @@
 //                        compile per call): what casual callers get
 //
 // Both engines execute the same event sequence bit for bit, so one
-// event count per configuration (taken from the calendar queue's
+// event count per configuration (taken from the event heap's
 // scheduled() counter) is the honest numerator for every variant's
 // events_per_second rate — the counter BENCH_netsim.json commits and
 // scripts/bench_compare.py gates.

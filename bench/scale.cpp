@@ -112,8 +112,8 @@ void BM_HierarchicalPredict(benchmark::State& state) {
 BENCHMARK(BM_HierarchicalPredict)->Arg(10240)->Unit(benchmark::kMillisecond);
 
 // Event-driven simulation of the tuned 10k barrier, consuming tiled
-// costs directly (no densification). events_per_second is the calendar
-// queue's sustained throughput at this scale.
+// costs directly (no densification). events_per_second is the event
+// heap's sustained throughput at this scale.
 void BM_NetsimBlocked(benchmark::State& state) {
   const std::size_t ranks = static_cast<std::size_t>(state.range(0));
   const TiledProfile tiled = generate_tiled_profile(tenk_slice(ranks), ranks);

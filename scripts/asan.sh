@@ -2,7 +2,7 @@
 # Build the memory suite under AddressSanitizer and run the
 # `asan`-labelled tests (fault model, resilient executors, validator,
 # format hardening, library quarantine, plan service, collective
-# dataflow verifier).
+# dataflow verifier, netsim event heap).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,5 +11,5 @@ cmake --build build-asan -j "$(nproc)" --target \
   test_fault_plan test_resilience test_rma test_validate \
   test_format_hardening test_library test_plan_service test_failure_injection \
   test_runtime_scaling test_nonblocking test_netsim_parity \
-  test_collective_schedule
+  test_collective_schedule test_event_queue
 ctest --test-dir build-asan -L asan --output-on-failure

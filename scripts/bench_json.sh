@@ -15,9 +15,11 @@
 #   BENCH_overlap.json    — bench_overlap (episode throughput with
 #                           per-rank compute overlapped through the
 #                           post/test/wait lifecycle, ratio 0/50/100%)
-#   BENCH_netsim.json     — bench_netsim (simulated events/sec: calendar-
-#                           queue engine vs reference, P = 120/1000 x
-#                           dissemination/heap-tree/radix-4 families)
+#   BENCH_netsim.json     — bench_netsim (simulated events/sec: event-
+#                           heap engine vs reference, P = 120/1000 x
+#                           dissemination/heap-tree/radix-4 families);
+#                           five interleaved repetitions, as for
+#                           BENCH_rma.json below
 #   BENCH_rma.json        — bench_rma (one-sided flag-store puts/sec on
 #                           the sharded board, episode throughput
 #                           with two-sided / one-sided / hybrid
@@ -37,7 +39,8 @@
 #   BENCH_scale.json      — bench_scale (tune/predict/simulate scaling
 #                           to 10240 ranks: dense pipeline vs tiled
 #                           hierarchical, with exact model-memory
-#                           counters and netsim events/sec at 10k)
+#                           counters and netsim events/sec at 10k);
+#                           five interleaved repetitions
 #
 # Usage: scripts/bench_json.sh [build-dir]   (default: build)
 # BENCH_FILTER limits both runs, e.g.
@@ -74,8 +77,10 @@ run bench_tuning_speed BENCH_tuning.json
 run bench_collective BENCH_collective.json
 run bench_thread_runtime BENCH_runtime.json
 run bench_overlap BENCH_overlap.json
-run bench_netsim BENCH_netsim.json
+run bench_netsim BENCH_netsim.json --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true
 run bench_rma BENCH_rma.json --benchmark_repetitions=5 \
     --benchmark_enable_random_interleaving=true
 run bench_service BENCH_service.json
-run bench_scale BENCH_scale.json
+run bench_scale BENCH_scale.json --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true

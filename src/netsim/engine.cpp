@@ -1,4 +1,4 @@
-// The production netsim engine: calendar-queue scheduling over typed
+// The production netsim engine: binary-heap scheduling over typed
 // SimEvents, CompiledSchedule CSR adjacency, and all mutable state in a
 // reusable SimWorkspace. Bit-identical to engine_reference.cpp — the
 // two engines make the same scheduling calls in the same order, so

@@ -30,9 +30,9 @@
 //
 // Two implementations share this contract bit for bit:
 //
-//   simulate()           — the production engine: calendar-queue
+//   simulate()           — the production engine: binary min-heap
 //                          scheduler over typed SimEvents
-//                          (calendar_queue.hpp), CompiledSchedule CSR
+//                          (event_heap.hpp), CompiledSchedule CSR
 //                          adjacency spans instead of per-stage
 //                          sources_of/targets_of vectors, and all
 //                          mutable state in a reusable SimWorkspace,
@@ -54,7 +54,7 @@
 
 #include "barrier/compiled_schedule.hpp"
 #include "barrier/schedule.hpp"
-#include "netsim/calendar_queue.hpp"
+#include "netsim/event_heap.hpp"
 #include "profile/tiled_profile.hpp"
 #include "simmpi/fault.hpp"
 #include "topology/machine.hpp"
@@ -182,8 +182,8 @@ struct SimResult {
   double completion_time() const;
 };
 
-/// Reusable simulation state: the compiled adjacency, the calendar
-/// queue (event slab + buckets), dense per-rank state, and the
+/// Reusable simulation state: the compiled adjacency, the event heap
+/// (event slab + (time, seq) heap), dense per-rank state, and the
 /// buffered-message pool. One workspace per thread; every member is
 /// reset with capacity kept, so repeated simulate_into calls are
 /// allocation-free once the largest (ranks, stages, events) shape has
@@ -203,7 +203,7 @@ struct SimWorkspace {
   };
 
   CompiledSchedule compiled;  ///< rebound by simulate_into (grow-only)
-  CalendarQueue queue;
+  EventHeap queue;
 
   std::vector<RankState> states;
   std::vector<std::uint8_t> halted;   ///< crashed (at stage 0 or later)

@@ -1,5 +1,5 @@
 // The original netsim engine, retained verbatim as the parity oracle
-// for the calendar-queue engine in engine.cpp (the predict_reference
+// for the event-heap engine in engine.cpp (the predict_reference
 // pattern): std::function closures on a binary-heap EventQueue,
 // per-stage adjacency vectors from Schedule::sources_of/targets_of,
 // and triple-nested buffered-message vectors. Deliberately NOT

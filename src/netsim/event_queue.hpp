@@ -3,9 +3,9 @@
 // Events fire in (time, insertion-sequence) order, so simulations are
 // reproducible regardless of how ties arise. The queue is deliberately
 // minimal — simulate_reference (engine.hpp) is the only remaining
-// client since the hot path moved to the calendar queue
-// (calendar_queue.hpp), but it is generic enough for other
-// virtual-time substrates.
+// client since the hot path moved to the typed-event heap
+// (event_heap.hpp), which pops in this same order, but it is generic
+// enough for other virtual-time substrates.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,9 @@
 // Tests for the deterministic discrete-event queue (the reference
-// scheduler) and the calendar queue that replaced it on the hot path.
+// scheduler) and the typed-event heap that replaced it on the hot path.
 // The two must agree on the total order — ascending (time, insertion
-// sequence) — which the cross-check property test below enforces under
-// randomized interleaved push/pop traffic.
+// sequence) — which the cross-check tests below enforce under
+// randomized interleaved push/pop traffic and under the 10k-rank
+// tie-heavy traffic shape.
 #include "netsim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "netsim/calendar_queue.hpp"
+#include "netsim/event_heap.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -104,8 +105,8 @@ SimEvent tagged(std::uint32_t tag) {
   return e;
 }
 
-TEST(CalendarQueue, FiresInTimeOrder) {
-  CalendarQueue q;
+TEST(EventHeap, FiresInTimeOrder) {
+  EventHeap q;
   q.schedule(3.0, tagged(3));
   q.schedule(1.0, tagged(1));
   q.schedule(2.0, tagged(2));
@@ -117,8 +118,8 @@ TEST(CalendarQueue, FiresInTimeOrder) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(CalendarQueue, TiesBreakByInsertionOrder) {
-  CalendarQueue q;
+TEST(EventHeap, TiesBreakByInsertionOrder) {
+  EventHeap q;
   for (std::uint32_t i = 0; i < 100; ++i) {
     q.schedule(1.0, tagged(i));
   }
@@ -127,8 +128,8 @@ TEST(CalendarQueue, TiesBreakByInsertionOrder) {
   }
 }
 
-TEST(CalendarQueue, SchedulingInThePastThrows) {
-  CalendarQueue q;
+TEST(EventHeap, SchedulingInThePastThrows) {
+  EventHeap q;
   q.schedule(2.0, tagged(0));
   q.pop();
   EXPECT_THROW(q.schedule(1.0, tagged(1)), Error);
@@ -136,13 +137,13 @@ TEST(CalendarQueue, SchedulingInThePastThrows) {
   EXPECT_EQ(q.pop().a, 2u);
 }
 
-TEST(CalendarQueue, PopOnEmptyThrows) {
-  CalendarQueue q;
+TEST(EventHeap, PopOnEmptyThrows) {
+  EventHeap q;
   EXPECT_THROW(q.pop(), Error);
 }
 
-TEST(CalendarQueue, EventPayloadSurvivesSlabRecycling) {
-  CalendarQueue q;
+TEST(EventHeap, EventPayloadSurvivesSlabRecycling) {
+  EventHeap q;
   SimEvent e;
   e.kind = SimEventKind::kFinalizeMatch;
   e.ghost = true;
@@ -169,17 +170,17 @@ TEST(CalendarQueue, EventPayloadSurvivesSlabRecycling) {
 
 // The determinism property: under randomized interleaved traffic —
 // bursts of pushes at clustered, tied, and spread-out times, partial
-// drains in between — the calendar queue must pop the exact sequence
+// drains in between — the event heap must pop the exact sequence
 // the reference EventQueue fires. This is the total-order contract the
 // engine parity rests on.
-TEST(CalendarQueue, MatchesReferenceQueueUnderRandomTraffic) {
+TEST(EventHeap, MatchesReferenceQueueUnderRandomTraffic) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
-    CalendarQueue cal;
+    EventHeap heap;
     EventQueue ref;
     std::vector<std::uint32_t> ref_order;
     std::uint32_t next_tag = 0;
-    std::vector<std::uint32_t> cal_order;
+    std::vector<std::uint32_t> heap_order;
     // Random program: pushes with time offsets drawn from mixed scales
     // (dense cluster, exact ties via grid rounding, occasional long
     // jumps), separated by partial drains.
@@ -197,51 +198,95 @@ TEST(CalendarQueue, MatchesReferenceQueueUnderRandomTraffic) {
         } else {
           offset = 50.0 + rng.next_double() * 1000.0;  // far future
         }
-        const double t = cal.now() + offset;
+        const double t = heap.now() + offset;
         const std::uint32_t tag = next_tag++;
-        cal.schedule(t, tagged(tag));
+        heap.schedule(t, tagged(tag));
         ref.schedule(t, [&ref_order, tag] { ref_order.push_back(tag); });
       }
       const std::size_t drains =
           static_cast<std::size_t>(rng.next_double() *
-                                   static_cast<double>(cal.pending()));
+                                   static_cast<double>(heap.pending()));
       for (std::size_t i = 0; i < drains; ++i) {
-        cal_order.push_back(cal.pop().a);
+        heap_order.push_back(heap.pop().a);
         ref.step();
-        EXPECT_EQ(cal.now(), ref.now()) << "seed " << seed;
+        EXPECT_EQ(heap.now(), ref.now()) << "seed " << seed;
       }
     }
-    while (!cal.empty()) {
-      cal_order.push_back(cal.pop().a);
+    while (!heap.empty()) {
+      heap_order.push_back(heap.pop().a);
       ref.step();
     }
     EXPECT_TRUE(ref.empty());
-    ASSERT_EQ(cal_order, ref_order) << "seed " << seed;
+    ASSERT_EQ(heap_order, ref_order) << "seed " << seed;
   }
 }
 
-TEST(CalendarQueue, BucketsResizeUnderBurstyLoadAndShrinkBack) {
-  CalendarQueue q;
-  const std::size_t initial = q.bucket_count();
-  // Burst: far more events than buckets forces doubling rebuilds, with
-  // widths refit to the dense spacing.
+// The 10k-rank traffic shape: every rank enters at t = 0 (10240 tied
+// events), then small-spread pushes (one marginal latency ahead, up to
+// 2 % jitter, some exact ties) interleave with partial drains of up to
+// 60 % of the pending events. Pop for pop, the heap must match the
+// reference EventQueue.
+TEST(EventHeap, MatchesReferenceQueueUnderTenKTraffic) {
+  constexpr std::uint32_t kRanks = 10240;
+  constexpr double kLatency = 1.0e-6;
+  Rng rng(kRanks);
+  EventHeap heap;
+  EventQueue ref;
+  std::vector<std::uint32_t> heap_order;
+  std::vector<std::uint32_t> ref_order;
+  std::uint32_t next_tag = 0;
+  const auto push = [&](double t) {
+    const std::uint32_t tag = next_tag++;
+    heap.schedule(t, tagged(tag));
+    ref.schedule(t, [&ref_order, tag] { ref_order.push_back(tag); });
+  };
+  const auto pop = [&] {
+    heap_order.push_back(heap.pop().a);
+    ref.step();
+  };
+  for (std::uint32_t i = 0; i < kRanks; ++i) {
+    push(0.0);
+  }
+  for (int round = 0; round < 80; ++round) {
+    const std::size_t drains = static_cast<std::size_t>(
+        rng.next_double() * 0.6 * static_cast<double>(heap.pending()));
+    for (std::size_t i = 0; i < drains; ++i) {
+      pop();
+    }
+    const std::size_t pushes =
+        1 + static_cast<std::size_t>(rng.next_double() * 600.0);
+    for (std::size_t i = 0; i < pushes; ++i) {
+      const double jitter = rng.next_double() < 0.3
+                                ? 0.0
+                                : 0.02 * rng.next_double();
+      push(heap.now() + kLatency * (1.0 + jitter));
+    }
+  }
+  while (!heap.empty()) {
+    pop();
+  }
+  EXPECT_TRUE(ref.empty());
+  EXPECT_EQ(heap.now(), ref.now());
+  EXPECT_EQ(heap.scheduled(), next_tag);
+  ASSERT_EQ(heap_order, ref_order);
+}
+
+TEST(EventHeap, DrainsLargeBurstInOrder) {
+  EventHeap q;
   for (std::uint32_t i = 0; i < 4096; ++i) {
     q.schedule(static_cast<double>(i) * 1e-6, tagged(i));
   }
-  EXPECT_GT(q.bucket_count(), initial);
-  // Draining pops in exact order and halves the ring back down.
+  EXPECT_EQ(q.pending(), 4096u);
   for (std::uint32_t i = 0; i < 4096; ++i) {
     ASSERT_EQ(q.pop().a, i);
   }
-  EXPECT_EQ(q.bucket_count(), initial);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(CalendarQueue, FarFutureEventsAreFoundByDirectSearch) {
-  CalendarQueue q;
-  // A dense nanosecond-scale cluster fits the width to ~1e-9, pushing
-  // the far-future events many "years" past the cursor — the pops must
-  // still come out in exact order via the direct-search fallback.
+TEST(EventHeap, FarFutureEventsPopInOrderAfterDenseCluster) {
+  EventHeap q;
+  // A dense nanosecond-scale cluster followed by events 15-21 orders
+  // of magnitude later, pushed out of order.
   for (std::uint32_t i = 0; i < 64; ++i) {
     q.schedule(static_cast<double>(i) * 1e-9, tagged(i));
   }
@@ -257,8 +302,8 @@ TEST(CalendarQueue, FarFutureEventsAreFoundByDirectSearch) {
   EXPECT_DOUBLE_EQ(q.now(), 2e12);
 }
 
-TEST(CalendarQueue, ResetRewindsTimeAndReusesStorage) {
-  CalendarQueue q;
+TEST(EventHeap, ResetRewindsTimeAndReusesStorage) {
+  EventHeap q;
   for (std::uint32_t i = 0; i < 500; ++i) {
     q.schedule(static_cast<double>(i), tagged(i));
   }

@@ -1,5 +1,5 @@
-// Randomized old-vs-new engine parity: simulate() (calendar queue,
-// typed events, SimWorkspace) must be *bit-identical* to
+// Randomized old-vs-new engine parity: simulate() (typed-event heap,
+// slab-backed events, SimWorkspace) must be *bit-identical* to
 // simulate_reference() (std::function closures on the binary-heap
 // EventQueue) on every output — completion vectors, entry times,
 // traces, deadlock flags, stuck-rank lists — across the full option

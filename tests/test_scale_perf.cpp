@@ -7,7 +7,9 @@
 // magnitude for sanitizer builds and loaded CI runners). A dense
 // pipeline at this scale would blow the budget on the profile alone
 // (a 10240^2 double matrix is 840 MB), so passing here is direct
-// evidence the hierarchical path never densifies.
+// evidence the hierarchical path never densifies. The simulated run is
+// also pinned bit for bit, the only tier-1 check of netsim's pop order
+// at this scale.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -52,6 +54,11 @@ TEST(ScalePerf, TenKRankTuneAndSimulateInsideBudget) {
   simulate_compiled_into(compiled, tiled, options, workspace, result);
   ASSERT_FALSE(result.deadlocked);
   EXPECT_GT(result.barrier_time(), 0.0);
+  // Simulation identity at 10240 ranks: the scheduler pops in exact
+  // (time, insertion-seq) order, which fixes every RNG draw, so the
+  // seed-7 barrier time and event count are pinned to the bit.
+  EXPECT_EQ(result.barrier_time(), 0x1.09fb5858c3fdfp-12);
+  EXPECT_EQ(workspace.queue.scheduled(), 54272u);
 
   const double elapsed = seconds_since(start);
   EXPECT_LT(elapsed, kBudgetSeconds)
