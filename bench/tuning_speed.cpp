@@ -7,7 +7,10 @@
 // clustering + composition + prediction pipeline (and its stages) at the
 // paper's machine sizes.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "barrier/compiled_schedule.hpp"
@@ -17,6 +20,8 @@
 #include "core/library.hpp"
 #include "core/search.hpp"
 #include "core/tuner.hpp"
+#include "profile/generate_tiled.hpp"
+#include "profile/tiled_profile.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
 #include "topology/mapping.hpp"
@@ -148,5 +153,45 @@ void BM_LibraryTuneAllHex(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LibraryTuneAllHex)->Arg(1)->Arg(8)->UseRealTime();
+
+// Profile loads: every tune starts from a text profile on disk (the
+// paper's profiling/tuning split, Figure 1), so the load is part of the
+// cost of tuning feedback. The file is written once, outside the timed
+// loop, and read back whole each iteration.
+std::string bench_file(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          ("optibar_bench_" + std::to_string(::getpid()) + "_" + name))
+      .string();
+}
+
+// Dense v3 profiles (O, L, G, R) of the quad (32) and hex (120) presets.
+void BM_ProfileLoad(benchmark::State& state) {
+  const auto p = static_cast<std::size_t>(state.range(0));
+  const std::string path = bench_file("dense_" + std::to_string(p));
+  profile_for(p).save_file(path);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TopologyProfile::load_file(path));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(
+                              std::filesystem::file_size(path)));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_ProfileLoad)->Arg(32)->Arg(120);
+
+// The tiled v4 profile of the 10240-rank tenk machine.
+void BM_TiledProfileLoad(benchmark::State& state) {
+  const auto p = static_cast<std::size_t>(state.range(0));
+  const std::string path = bench_file("tiled_" + std::to_string(p));
+  generate_tiled_profile(tenk_cluster(p / 40), p).save_file(path);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TiledProfile::load_file(path));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(
+                              std::filesystem::file_size(path)));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_TiledProfileLoad)->Arg(10240);
 
 }  // namespace

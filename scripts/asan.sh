@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # Build the memory suite under AddressSanitizer and run the
 # `asan`-labelled tests (fault model, resilient executors, validator,
-# format hardening, library quarantine, plan service, collective
-# dataflow verifier, netsim event heap).
+# format scanner, hardening, oracle and mutation fuzzer, library
+# quarantine, plan service, collective dataflow verifier, netsim event
+# heap).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build-asan -S . -DOPTIBAR_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$(nproc)" --target \
   test_fault_plan test_resilience test_rma test_validate \
-  test_format_hardening test_library test_plan_service test_failure_injection \
+  test_format_hardening test_scanner test_format_oracle test_format_fuzz \
+  test_library test_plan_service test_failure_injection \
   test_runtime_scaling test_nonblocking test_netsim_parity \
   test_collective_schedule test_event_queue
 ctest --test-dir build-asan -L asan --output-on-failure

@@ -6,7 +6,11 @@
 #   BENCH_predict.json    — bench_predict_throughput (compiled kernel vs
 #                           reference predict, compile cost, search step)
 #   BENCH_tuning.json     — bench_tuning_speed (full pipeline, stages,
-#                           thread scaling, library batch tuning)
+#                           thread scaling, library batch tuning, and
+#                           the text loads every tune starts from:
+#                           dense v3 profiles at P = 32/120 and the
+#                           tiled 10240-rank profile); five interleaved
+#                           repetitions, as for BENCH_rma.json below
 #   BENCH_collective.json — bench_collective (collective tuning on hex,
 #                           payload-aware predict/compile/sim throughput)
 #   BENCH_runtime.json    — bench_thread_runtime (episode throughput:
@@ -73,7 +77,8 @@ run() {
 }
 
 run bench_predict_throughput BENCH_predict.json
-run bench_tuning_speed BENCH_tuning.json
+run bench_tuning_speed BENCH_tuning.json --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true
 run bench_collective BENCH_collective.json
 run bench_thread_runtime BENCH_runtime.json
 run bench_overlap BENCH_overlap.json

@@ -1,11 +1,15 @@
 #include "barrier/schedule_io.hpp"
 
+#include <cstdint>
 #include <fstream>
-#include <istream>
 #include <ostream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "barrier/validate.hpp"
 #include "util/error.hpp"
+#include "util/scanner.hpp"
 
 namespace optibar {
 
@@ -65,81 +69,60 @@ void save_schedule(std::ostream& os, const StoredSchedule& stored) {
 }
 
 StoredSchedule load_schedule(std::istream& is) {
-  std::string magic;
-  std::string version;
-  is >> magic >> version;
-  OPTIBAR_IO_REQUIRE(!is.fail() && magic == kMagic,
+  Scanner in(is);
+  return load_schedule(in);
+}
+
+StoredSchedule load_schedule(Scanner& in) {
+  const std::string_view magic = in.token("schedule magic");
+  OPTIBAR_IO_REQUIRE(magic == kMagic,
                      "not an optibar schedule (magic '" << magic << "')");
+  const std::string_view version = in.token("schedule version");
   OPTIBAR_IO_REQUIRE(version == "v1" || version == "v2",
                      "unsupported schedule version " << version);
   const bool v2 = version == "v2";
 
-  std::string tag;
-  std::size_t p = 0;
-  std::size_t stages = 0;
-  is >> tag >> p;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "P" && p > 0,
-                     "malformed schedule header (P)");
-  OPTIBAR_IO_REQUIRE(p <= kMaxRanks,
-                     "schedule header claims " << p << " ranks (cap "
-                                               << kMaxRanks << ")");
-  is >> tag >> stages;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "stages",
-                     "malformed schedule header (stages)");
-  OPTIBAR_IO_REQUIRE(stages <= kMaxStages,
-                     "schedule header claims " << stages << " stages (cap "
-                                               << kMaxStages << ")");
+  in.expect("P");
+  const std::size_t p = in.count("schedule rank count", kMaxRanks);
+  OPTIBAR_IO_REQUIRE(p > 0, "malformed schedule header (P)");
+  in.expect("stages");
+  const std::size_t stages = in.count("schedule stage count", kMaxStages);
 
   StoredSchedule out;
   out.schedule = Schedule(p);
-  is >> tag;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "awaited",
-                     "malformed schedule header (awaited)");
-  out.awaited_stages.resize(stages);
+  in.expect("awaited");
   for (std::size_t i = 0; i < stages; ++i) {
-    int flag = 0;
-    is >> flag;
-    OPTIBAR_IO_REQUIRE(!is.fail(),
-                       "truncated schedule: awaited flag " << i << " missing");
-    OPTIBAR_IO_REQUIRE(flag == 0 || flag == 1, "awaited flag must be 0/1");
-    out.awaited_stages[i] = flag == 1;
+    out.awaited_stages.push_back(in.count("awaited flag", 1) == 1);
   }
-  auto read_matrix = [&](const char* what, std::size_t st) {
-    StageMatrix m(p, p, 0);
-    for (std::size_t r = 0; r < p; ++r) {
-      for (std::size_t c = 0; c < p; ++c) {
-        int v = 0;
-        is >> v;
-        OPTIBAR_IO_REQUIRE(!is.fail(), "truncated schedule: "
-                                           << what << st << " cell (" << r
-                                           << ", " << c << ") missing");
-        OPTIBAR_IO_REQUIRE(v == 0 || v == 1,
-                           what << " cell must be 0/1");
-        m(r, c) = static_cast<std::uint8_t>(v);
-      }
+  // Cells grow with the data read, never with the header's P.
+  auto read_matrix = [&](const char* what) {
+    std::vector<std::uint8_t> cells;
+    for (std::size_t i = 0; i < p * p; ++i) {
+      cells.push_back(static_cast<std::uint8_t>(in.count(what, 1)));
     }
-    return m;
+    return StageMatrix(p, p, std::move(cells));
   };
   for (std::size_t st = 0; st < stages; ++st) {
-    is >> tag;
-    OPTIBAR_IO_REQUIRE(!is.fail(),
-                       "truncated schedule: stage S" << st << " missing");
-    OPTIBAR_IO_REQUIRE(tag == "S" + std::to_string(st),
-                       "expected stage tag S" << st << ", got " << tag);
-    out.schedule.append_stage(read_matrix("stage S", st));
+    in.expect("S", st);
+    StageMatrix stage = read_matrix("stage cell");
+    StageMatrix transport;
     if (v2) {
-      is >> tag;
-      OPTIBAR_IO_REQUIRE(!is.fail(), "truncated schedule: transport T"
-                                         << st << " missing");
-      OPTIBAR_IO_REQUIRE(tag == "T" + std::to_string(st),
-                         "expected transport tag T" << st << ", got " << tag);
-      // set_transport validates transport(i,j) => stage(i,j) and
-      // normalizes all-zero to the empty (two-sided) spelling.
-      out.schedule.set_transport(st, read_matrix("transport T", st));
+      in.expect("T", st);
+      transport = read_matrix("transport cell");
+    }
+    // append_stage refuses a self-signal and set_transport a one-sided
+    // edge outside its stage; the bad data came from the file, so they
+    // surface as parse (Io) errors. set_transport also normalizes an
+    // all-zero T to the empty (two-sided) spelling.
+    try {
+      out.schedule.append_stage(std::move(stage));
+      if (v2) {
+        out.schedule.set_transport(st, std::move(transport));
+      }
+    } catch (const Error& error) {
+      OPTIBAR_IO_FAIL("invalid stage " << st << ": " << error.what());
     }
   }
-  OPTIBAR_IO_REQUIRE(is.good() || is.eof(),
-                     "I/O error while reading schedule");
 
   // Safety gate: refuse plans that could hang a runtime. Non-barrier
   // patterns still load — analysis/validate commands inspect those —

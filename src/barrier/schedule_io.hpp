@@ -21,6 +21,8 @@
 
 namespace optibar {
 
+class Scanner;
+
 /// A schedule plus the departure-stage flags produced by the composer.
 struct StoredSchedule {
   Schedule schedule{1};
@@ -29,6 +31,10 @@ struct StoredSchedule {
 
 void save_schedule(std::ostream& os, const StoredSchedule& stored);
 StoredSchedule load_schedule(std::istream& is);
+
+/// The same body for a schedule nested in a larger file (a plan-store
+/// record): reads from the enclosing file's scanner, magic line first.
+StoredSchedule load_schedule(Scanner& in);
 
 void save_schedule_file(const std::string& path, const StoredSchedule& stored);
 StoredSchedule load_schedule_file(const std::string& path);

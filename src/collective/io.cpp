@@ -1,12 +1,13 @@
 #include "collective/io.hpp"
 
 #include <fstream>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "util/error.hpp"
+#include "util/scanner.hpp"
 
 namespace optibar {
 
@@ -21,7 +22,7 @@ constexpr std::size_t kMaxRanks = 8192;
 constexpr std::size_t kMaxStages = 100000;
 constexpr std::size_t kMaxElemBytes = 65536;
 
-CollectiveOp parse_op(const std::string& name) {
+CollectiveOp parse_op(std::string_view name) {
   if (name == "bcast") {
     return CollectiveOp::kBroadcast;
   }
@@ -56,79 +57,48 @@ void save_collective(std::ostream& os, const CollectiveSchedule& schedule) {
 }
 
 CollectiveSchedule load_collective(std::istream& is) {
-  std::string magic;
-  std::string version;
-  is >> magic >> version;
-  OPTIBAR_IO_REQUIRE(!is.fail() && magic == kMagic,
+  Scanner in(is);
+  const std::string_view magic = in.token("collective magic");
+  OPTIBAR_IO_REQUIRE(magic == kMagic,
                      "not an optibar collective schedule (magic '" << magic
                                                                    << "')");
+  const std::string_view version = in.token("collective version");
   OPTIBAR_IO_REQUIRE(version == "v1",
                      "unsupported collective schedule version " << version);
 
-  std::string tag;
-  std::string op_name;
-  is >> tag >> op_name;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "op",
-                     "malformed collective header (op)");
-  const CollectiveOp op = parse_op(op_name);
-  std::size_t p = 0;
-  is >> tag >> p;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "P" && p > 0,
-                     "malformed collective header (P)");
-  OPTIBAR_IO_REQUIRE(p <= kMaxRanks, "collective rank count "
-                                         << p << " exceeds the format cap ("
-                                         << kMaxRanks << ")");
-  std::size_t root = 0;
-  is >> tag >> root;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "root",
-                     "malformed collective header (root)");
+  in.expect("op");
+  const CollectiveOp op = parse_op(in.token("collective op"));
+  in.expect("P");
+  const std::size_t p = in.count("collective rank count", kMaxRanks);
+  OPTIBAR_IO_REQUIRE(p > 0, "malformed collective header (P)");
+  in.expect("root");
+  const std::size_t root = in.count("collective root", Scanner::kNoCap);
   OPTIBAR_IO_REQUIRE(root < p, "root " << root << " out of range for " << p
                                        << " ranks");
-  std::size_t elem_count = 0;
-  std::size_t elem_bytes = 0;
-  is >> tag >> elem_count >> elem_bytes;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "elems" && elem_bytes > 0,
-                     "malformed collective header (elems)");
-  OPTIBAR_IO_REQUIRE(elem_bytes <= kMaxElemBytes,
-                     "element width " << elem_bytes
-                                      << " exceeds the format cap ("
-                                      << kMaxElemBytes << ")");
+  in.expect("elems");
+  const std::size_t elem_count = in.count("element count", Scanner::kNoCap);
+  const std::size_t elem_bytes = in.count("element width", kMaxElemBytes);
+  OPTIBAR_IO_REQUIRE(elem_bytes > 0, "malformed collective header (elems)");
   OPTIBAR_IO_REQUIRE(
       elem_count <= std::numeric_limits<std::size_t>::max() / elem_bytes,
       "elems header overflows (" << elem_count << " x " << elem_bytes << ")");
-  std::size_t stages = 0;
-  is >> tag >> stages;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "stages",
-                     "malformed collective header (stages)");
-  OPTIBAR_IO_REQUIRE(stages <= kMaxStages,
-                     "collective stage count "
-                         << stages << " exceeds the format cap (" << kMaxStages
-                         << ")");
+  in.expect("stages");
+  const std::size_t stages = in.count("collective stage count", kMaxStages);
 
   CollectiveSchedule out(op, p, elem_count, elem_bytes, root);
   for (std::size_t s = 0; s < stages; ++s) {
-    std::size_t edges = 0;
-    is >> tag >> edges;
-    std::string expected("S");
-    expected += std::to_string(s);
-    OPTIBAR_IO_REQUIRE(!is.fail() && tag == expected,
-                       "expected stage tag S" << s << ", got " << tag);
-    // A stage is a set of distinct directed pairs, so p*p bounds it.
-    OPTIBAR_IO_REQUIRE(edges <= p * p, "stage " << s << " claims " << edges
-                                                << " edges for " << p
-                                                << " ranks");
+    in.expect("S", s);
+    // A stage is a set of distinct directed pairs, so p*p bounds it; the
+    // edge list still grows with the rows read, not with this claim.
+    const std::size_t edges = in.count("stage edge count", p * p);
     CollectiveStage stage;
-    stage.reserve(edges);
     for (std::size_t e = 0; e < edges; ++e) {
       CollectiveEdge edge;
-      int combine = -1;
-      is >> edge.src >> edge.dst >> edge.offset >> edge.count >> combine;
-      // fail() (not good()) so a truncated file cannot pass as eof.
-      OPTIBAR_IO_REQUIRE(!is.fail(),
-                         "truncated or malformed stage line in stage " << s);
-      OPTIBAR_IO_REQUIRE(combine == 0 || combine == 1,
-                         "combine flag must be 0/1, got " << combine);
-      edge.combine = combine == 1;
+      edge.src = in.count("edge source", Scanner::kNoCap);
+      edge.dst = in.count("edge destination", Scanner::kNoCap);
+      edge.offset = in.count("edge offset", Scanner::kNoCap);
+      edge.count = in.count("edge element count", Scanner::kNoCap);
+      edge.combine = in.count("edge combine flag", 1) == 1;
       stage.push_back(edge);
     }
     // append_stage re-validates ranges, self edges and duplicates;
@@ -140,8 +110,6 @@ CollectiveSchedule load_collective(std::istream& is) {
       OPTIBAR_IO_FAIL("invalid stage " << s << ": " << error.what());
     }
   }
-  OPTIBAR_IO_REQUIRE(is.good() || is.eof(),
-                     "I/O error while reading collective schedule");
   return out;
 }
 

@@ -1,14 +1,14 @@
 #include "core/plan_store.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <istream>
 #include <ostream>
 #include <set>
+#include <string_view>
 
 #include "util/error.hpp"
+#include "util/scanner.hpp"
 
 namespace optibar {
 
@@ -48,7 +48,7 @@ std::string escape_reason(const std::string& reason) {
   return out;
 }
 
-std::string unescape_reason(const std::string& text) {
+std::string unescape_reason(std::string_view text) {
   if (text == "-") {
     return {};
   }
@@ -77,18 +77,6 @@ std::string unescape_reason(const std::string& text) {
     }
   }
   return out;
-}
-
-std::size_t read_count(std::istream& is, const char* tag,
-                       std::size_t entry_index) {
-  std::string got;
-  std::size_t value = 0;
-  is >> got >> value;
-  OPTIBAR_IO_REQUIRE(!is.fail() && got == tag,
-                     "malformed plan-store entry " << entry_index
-                                                   << ": expected '" << tag
-                                                   << "' field");
-  return value;
 }
 
 }  // namespace
@@ -136,58 +124,41 @@ void save_plan_store(std::ostream& os, std::size_t ranks,
 
 std::vector<PlanStoreRecord> load_plan_store(std::istream& is,
                                              std::size_t expected_ranks) {
-  std::string magic;
-  std::string version;
-  is >> magic >> version;
-  OPTIBAR_IO_REQUIRE(!is.fail() && magic == kMagic,
+  Scanner in(is);
+  const std::string_view magic = in.token("plan-store magic");
+  OPTIBAR_IO_REQUIRE(magic == kMagic,
                      "not an optibar plan store (magic '" << magic << "')");
+  const std::string_view version = in.token("plan-store version");
   OPTIBAR_IO_REQUIRE(version == "v1",
                      "unsupported plan-store version " << version);
 
-  std::string tag;
-  std::size_t ranks = 0;
-  is >> tag >> ranks;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "ranks" && ranks > 0,
-                     "malformed plan-store header (ranks)");
-  OPTIBAR_IO_REQUIRE(ranks <= kMaxRanks, "plan-store header claims "
-                                             << ranks << " ranks (cap "
-                                             << kMaxRanks << ")");
+  in.expect("ranks");
+  const std::size_t ranks = in.count("plan-store rank count", kMaxRanks);
+  OPTIBAR_IO_REQUIRE(ranks > 0, "malformed plan-store header (ranks)");
   OPTIBAR_IO_REQUIRE(ranks == expected_ranks,
                      "plan store was saved for " << ranks
                                                  << " ranks; this profile has "
                                                  << expected_ranks);
-  std::size_t entries = 0;
-  is >> tag >> entries;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "entries",
-                     "malformed plan-store header (entries)");
-  OPTIBAR_IO_REQUIRE(entries <= kMaxEntries,
-                     "plan-store header claims " << entries << " entries (cap "
-                                                 << kMaxEntries << ")");
+  in.expect("entries");
+  const std::size_t entries = in.count("plan-store entry count", kMaxEntries);
 
+  // Records and subsets grow with the data read, never with a header.
   std::vector<PlanStoreRecord> records;
-  records.reserve(entries);
   std::set<std::vector<std::size_t>> seen_subsets;
   for (std::size_t k = 0; k < entries; ++k) {
-    std::size_t index = 0;
-    is >> tag >> index;
-    OPTIBAR_IO_REQUIRE(!is.fail() && tag == "entry" && index == k,
+    in.expect("entry");
+    OPTIBAR_IO_REQUIRE(in.count("entry index", k) == k,
                        "truncated plan store: entry " << k << " missing");
     PlanStoreRecord record;
 
-    const std::size_t subset_size = read_count(is, "subset", k);
-    OPTIBAR_IO_REQUIRE(subset_size > 0 && subset_size <= ranks,
+    in.expect("subset");
+    const std::size_t subset_size = in.count("subset size", ranks);
+    OPTIBAR_IO_REQUIRE(subset_size > 0,
                        "entry " << k << ": subset size " << subset_size
                                 << " out of range (1.." << ranks << ")");
-    record.subset.resize(subset_size);
     std::set<std::size_t> seen_ranks;
     for (std::size_t i = 0; i < subset_size; ++i) {
-      is >> record.subset[i];
-      OPTIBAR_IO_REQUIRE(!is.fail(), "truncated plan store: entry "
-                                         << k << " subset rank " << i
-                                         << " missing");
-      OPTIBAR_IO_REQUIRE(record.subset[i] < ranks,
-                         "entry " << k << ": rank " << record.subset[i]
-                                  << " out of range (" << ranks << ")");
+      record.subset.push_back(in.count("subset rank", ranks - 1));
       OPTIBAR_IO_REQUIRE(seen_ranks.insert(record.subset[i]).second,
                          "entry " << k << ": duplicate rank "
                                   << record.subset[i]);
@@ -195,11 +166,8 @@ std::vector<PlanStoreRecord> load_plan_store(std::istream& is,
     OPTIBAR_IO_REQUIRE(seen_subsets.insert(record.subset).second,
                        "entry " << k << ": duplicate subset in plan store");
 
-    std::string state_name;
-    is >> tag >> state_name;
-    OPTIBAR_IO_REQUIRE(!is.fail() && tag == "state",
-                       "malformed plan-store entry " << k
-                                                     << ": expected 'state'");
+    in.expect("state");
+    const std::string state_name(in.token("plan state"));
     try {
       record.state = plan_state_from_string(state_name);
     } catch (const Error&) {
@@ -210,38 +178,31 @@ std::vector<PlanStoreRecord> load_plan_store(std::istream& is,
                        "entry " << k
                                 << ": a stored plan cannot be mid-retune");
 
-    record.failures = read_count(is, "failures", k);
-    record.repair_attempts = read_count(is, "repairs", k);
-    record.probation_left = read_count(is, "probation", k);
-    is >> tag >> record.predicted_cost;
-    OPTIBAR_IO_REQUIRE(!is.fail() && tag == "predicted",
-                       "malformed plan-store entry "
-                           << k << ": expected 'predicted'");
-    OPTIBAR_IO_REQUIRE(
-        std::isfinite(record.predicted_cost) && record.predicted_cost >= 0.0,
-        "entry " << k << ": predicted cost must be finite and non-negative");
+    in.expect("failures");
+    record.failures = in.count("failures", Scanner::kNoCap);
+    in.expect("repairs");
+    record.repair_attempts = in.count("repairs", Scanner::kNoCap);
+    in.expect("probation");
+    record.probation_left = in.count("probation", Scanner::kNoCap);
+    in.expect("predicted");
+    record.predicted_cost = in.finite("predicted cost");
+    OPTIBAR_IO_REQUIRE(record.predicted_cost >= 0.0,
+                       "entry " << k
+                                << ": predicted cost must be non-negative");
 
-    is >> tag;
-    OPTIBAR_IO_REQUIRE(!is.fail() && tag == "reason",
-                       "malformed plan-store entry " << k
-                                                     << ": expected 'reason'");
-    std::string reason_line;
-    std::getline(is, reason_line);
-    OPTIBAR_IO_REQUIRE(!is.fail(), "truncated plan store: entry "
-                                       << k << " reason missing");
+    in.expect("reason");
+    const std::string line = in.rest_of_line("reason");
+    std::string_view reason_line = line;
     if (!reason_line.empty() && reason_line.front() == ' ') {
-      reason_line.erase(reason_line.begin());
+      reason_line.remove_prefix(1);
     }
     OPTIBAR_IO_REQUIRE(!reason_line.empty(),
                        "malformed plan-store entry " << k
                                                      << ": empty reason line");
     record.reason = unescape_reason(reason_line);
 
-    is >> tag;
-    OPTIBAR_IO_REQUIRE(!is.fail() && tag == "plan",
-                       "truncated plan store: entry " << k
-                                                      << " plan missing");
-    record.plan = load_schedule(is);  // hardened loader; throws IoError
+    in.expect("plan");
+    record.plan = load_schedule(in);  // hardened loader; throws IoError
     OPTIBAR_IO_REQUIRE(record.plan.schedule.ranks() == subset_size,
                        "entry " << k << ": plan is over "
                                 << record.plan.schedule.ranks()
@@ -249,9 +210,7 @@ std::vector<PlanStoreRecord> load_plan_store(std::istream& is,
                                 << subset_size);
     records.push_back(std::move(record));
   }
-  is >> tag;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "end",
-                     "truncated plan store: trailing 'end' missing");
+  in.expect("end");
   return records;
 }
 

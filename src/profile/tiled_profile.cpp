@@ -6,8 +6,10 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "util/error.hpp"
+#include "util/scanner.hpp"
 
 namespace optibar {
 namespace {
@@ -338,26 +340,23 @@ void TiledProfile::save(std::ostream& os) const {
 }
 
 TiledProfile TiledProfile::load(std::istream& is) {
-  // Untrusted input: every count is capped before sizing an allocation,
-  // every read checks fail(), every float must be finite, and the
-  // canonical-ordering / size invariants are re-validated at the end.
-  std::string magic;
-  std::string version;
-  is >> magic >> version;
-  OPTIBAR_IO_REQUIRE(!is.fail() && magic == kMagic,
+  // Untrusted input: every count is capped, every float must be finite,
+  // id lists and matrices grow with the data read rather than with the
+  // header, and the canonical-ordering / size invariants are
+  // re-validated at the end. Tiles share this scanner (it reads ahead).
+  Scanner in(is);
+  const std::string_view magic = in.token("profile magic");
+  OPTIBAR_IO_REQUIRE(magic == kMagic,
                      "not an optibar profile (magic '" << magic << "')");
+  const std::string_view version = in.token("profile version");
   OPTIBAR_IO_REQUIRE(version == "v4",
                      "not a tiled profile (version " << version
                                                      << ", expected v4)");
   auto read_count = [&](const char* name, std::size_t cap) {
-    std::string tag;
-    std::size_t value = 0;
-    is >> tag >> value;
-    OPTIBAR_IO_REQUIRE(!is.fail() && tag == name && value > 0,
+    in.expect(name);
+    const std::size_t value = in.count(name, cap);
+    OPTIBAR_IO_REQUIRE(value > 0,
                        "malformed tiled profile header (" << name << ")");
-    OPTIBAR_IO_REQUIRE(value <= cap, name << " count " << value
-                                          << " exceeds the format cap ("
-                                          << cap << ")");
     return value;
   };
   const std::size_t p = read_count("P", kMaxTiledRanks);
@@ -365,31 +364,23 @@ TiledProfile TiledProfile::load(std::istream& is) {
   const std::size_t num_classes = read_count("classes", num_clusters);
   OPTIBAR_IO_REQUIRE(num_clusters <= p,
                      "more clusters than ranks in tiled profile header");
-  std::string tag;
-  std::string mats;
-  is >> tag >> mats;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "matrices" &&
-                         (mats == "OL" || mats == "OLG" || mats == "OLR" ||
-                          mats == "OLGR"),
-                     "malformed tiled profile matrices declaration");
+  in.expect("matrices");
+  const std::string_view mats = in.token("matrices declaration");
+  OPTIBAR_IO_REQUIRE(
+      mats == "OL" || mats == "OLG" || mats == "OLR" || mats == "OLGR",
+      "malformed tiled profile matrices declaration");
   TiledProfile out;
-  out.has_g_ = mats.find('G') != std::string::npos;
-  out.has_r_ = mats.find('R') != std::string::npos;
-  is >> tag >> out.tolerance_;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "tolerance" &&
-                         std::isfinite(out.tolerance_) &&
-                         out.tolerance_ >= 0.0 && out.tolerance_ < 1.0,
+  out.has_g_ = mats.find('G') != std::string_view::npos;
+  out.has_r_ = mats.find('R') != std::string_view::npos;
+  in.expect("tolerance");
+  out.tolerance_ = in.finite("tolerance");
+  OPTIBAR_IO_REQUIRE(out.tolerance_ >= 0.0 && out.tolerance_ < 1.0,
                      "malformed tiled profile tolerance");
   auto read_ids = [&](const char* name, std::size_t count, std::size_t bound) {
-    is >> tag;
-    OPTIBAR_IO_REQUIRE(!is.fail() && tag == name,
-                       "expected section " << name << ", got " << tag);
-    std::vector<std::size_t> ids(count);
+    in.expect(name);
+    std::vector<std::size_t> ids;
     for (std::size_t i = 0; i < count; ++i) {
-      is >> ids[i];
-      OPTIBAR_IO_REQUIRE(!is.fail() && ids[i] < bound,
-                         "truncated or out-of-range " << name << " entry "
-                                                      << i);
+      ids.push_back(in.count(name, bound - 1));
     }
     return ids;
   };
@@ -399,39 +390,23 @@ TiledProfile TiledProfile::load(std::istream& is) {
   for (std::size_t i = 0; i < p; ++i) {
     out.clusters_[out.assignment_[i]].push_back(i);
   }
-  out.tiles_.reserve(num_classes);
   for (std::size_t k = 0; k < num_classes; ++k) {
-    std::size_t index = 0;
-    is >> tag >> index;
-    OPTIBAR_IO_REQUIRE(!is.fail() && tag == "tile" && index == k,
-                       "expected tile " << k);
-    out.tiles_.push_back(TopologyProfile::load(is));
+    in.expect("tile");
+    OPTIBAR_IO_REQUIRE(in.count("tile index", k) == k, "expected tile " << k);
+    out.tiles_.push_back(TopologyProfile::load(in));
   }
-  is >> tag;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "inter",
-                     "expected inter section, got " << tag);
-  auto read_inter = [&](const char* name) {
-    is >> tag;
-    OPTIBAR_IO_REQUIRE(!is.fail() && tag == name,
-                       "expected inter matrix " << name << ", got " << tag);
-    Matrix<double> m(num_classes, num_classes);
-    for (std::size_t a = 0; a < num_classes; ++a) {
-      for (std::size_t b = 0; b < num_classes; ++b) {
-        is >> m(a, b);
-        OPTIBAR_IO_REQUIRE(!is.fail() && std::isfinite(m(a, b)),
-                           "truncated or non-finite inter " << name
-                                                            << " entry");
-      }
-    }
-    return m;
+  in.expect("inter");
+  auto read_inter = [&](const char* tag, const char* name) {
+    in.expect(tag);
+    return in.finite_matrix(num_classes, name);
   };
-  out.inter_o_ = read_inter("O");
-  out.inter_l_ = read_inter("L");
+  out.inter_o_ = read_inter("O", "inter O matrix");
+  out.inter_l_ = read_inter("L", "inter L matrix");
   if (out.has_g_) {
-    out.inter_g_ = read_inter("G");
+    out.inter_g_ = read_inter("G", "inter G matrix");
   }
   if (out.has_r_) {
-    out.inter_r_ = read_inter("R");
+    out.inter_r_ = read_inter("R", "inter R matrix");
   }
   out.rebuild_local_index();
   try {

@@ -68,6 +68,20 @@ Request Communicator::issend(std::size_t src, std::size_t dst, int tag) {
   return issend(src, dst, tag, Payload{});
 }
 
+void Communicator::settle(Shard& shard,
+                          std::map<ChannelKey, Channel>::iterator channel,
+                          std::size_t queued, std::size_t matched) const {
+  // Only writers holding the mutex touch `pending`, so a load and a
+  // store (no read-modify-write) keep it exact.
+  shard.pending.store(
+      shard.pending.load(std::memory_order_relaxed) + queued - matched,
+      std::memory_order_relaxed);
+  if (injector_ == nullptr && channel->second.sends.empty() &&
+      channel->second.recvs.empty()) {
+    shard.channels.erase(channel);
+  }
+}
+
 bool Communicator::post_send(Channel& channel, PendingOp op, std::size_t src,
                              std::size_t dst) {
   const Clock::time_point delivered =
@@ -107,7 +121,8 @@ Request Communicator::issend(std::size_t src, std::size_t dst, int tag,
   bool matched = false;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    Channel& channel = shard.channels[ChannelKey{src, dst, tag}];
+    const auto it = shard.channels.try_emplace(ChannelKey{src, dst, tag}).first;
+    Channel& channel = it->second;
     FaultInjector::Decision fault;
     if (injector_ != nullptr) {
       fault = injector_->decide(src, dst, tag, channel.next_send_seq++);
@@ -137,6 +152,8 @@ Request Communicator::issend(std::size_t src, std::size_t dst, int tag,
     } else {
       matched = post_send(channel, std::move(op), src, dst);
     }
+    // A match consumed a waiting receive instead of queueing the send.
+    settle(shard, it, fault.duplicates + (matched ? 0 : 1), matched ? 1 : 0);
   }
   if (matched) {
     // Wake batched waiters: the receiver parks on dst's shard, the
@@ -169,7 +186,8 @@ Request Communicator::irecv(std::size_t src, std::size_t dst, int tag,
   bool matched = false;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    Channel& channel = shard.channels[ChannelKey{src, dst, tag}];
+    const auto it = shard.channels.try_emplace(ChannelKey{src, dst, tag}).first;
+    Channel& channel = it->second;
     if (!channel.sends.empty()) {
       PendingOp send = std::move(channel.sends.front());
       channel.sends.pop_front();
@@ -189,6 +207,7 @@ Request Communicator::irecv(std::size_t src, std::size_t dst, int tag,
                                         Clock::duration{},
                                         std::move(keepalive)});
     }
+    settle(shard, it, matched ? 0 : 1, matched ? 1 : 0);
   }
   if (matched) {
     notify_shard(shard_index);
@@ -440,10 +459,16 @@ bool Communicator::wait_stage_on_until(std::size_t waiter,
 std::size_t Communicator::unmatched_operations() const {
   std::size_t n = 0;
   for (const auto& shard : shards_) {
+    n += shard->pending.load(std::memory_order_relaxed);
+  }
+  return n;
+}
+
+std::size_t Communicator::channel_count() const {
+  std::size_t n = 0;
+  for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [key, channel] : shard->channels) {
-      n += channel.sends.size() + channel.recvs.size();
-    }
+    n += shard->channels.size();
   }
   return n;
 }

@@ -47,6 +47,7 @@
 // thread issues all puts of one channel in program order.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <condition_variable>
@@ -142,8 +143,16 @@ class Communicator {
                            Clock::duration timeout);
 
   /// Number of posted-but-unmatched operations (diagnostics; a correct
-  /// barrier execution ends with zero).
+  /// barrier execution ends with zero). Lock-free: it sums per-shard
+  /// counts that every enqueue and match keeps under its shard mutex,
+  /// so it is exact once those operations happen-before the call (e.g.
+  /// after the rank threads are joined) and a snapshot otherwise.
   std::size_t unmatched_operations() const;
+
+  /// Channels the board holds (diagnostics). A channel is erased once
+  /// both its queues drain, unless a fault plan is attached: the
+  /// injector's per-channel send sequence must survive resends.
+  std::size_t channel_count() const;
 
   // ---- One-sided RMA board (see the header comment) ----
 
@@ -267,6 +276,9 @@ class Communicator {
     mutable std::mutex mutex;
     mutable std::condition_variable cv;
     std::map<ChannelKey, Channel> channels;
+    /// Queued sends + recvs over `channels`: written under mutex with a
+    /// plain load and store, read without it by unmatched_operations.
+    std::atomic<std::size_t> pending{0};
     std::size_t dropped = 0;       ///< guarded by mutex
     std::size_t dropped_puts = 0;  ///< guarded by mutex
     std::map<PutKey, std::uint64_t> put_seq;  ///< guarded by mutex
@@ -280,6 +292,12 @@ class Communicator {
 
   Clock::duration delivery_delay(std::size_t src, std::size_t dst,
                                  std::size_t payload_words) const;
+
+  // Under the shard's mutex: account `queued` operations added to and
+  // `matched` removed from its channels, and erase `channel` if that
+  // left it empty and no fault injector needs its send sequence.
+  void settle(Shard& shard, std::map<ChannelKey, Channel>::iterator channel,
+              std::size_t queued, std::size_t matched) const;
 
   // Match a send against a waiting receive or enqueue it; caller holds
   // the dst shard's mutex. `op.request` may be a ghost nobody waits on

@@ -3,11 +3,12 @@
 #include <cmath>
 #include <fstream>
 #include <iomanip>
-#include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "util/error.hpp"
+#include "util/scanner.hpp"
 
 namespace optibar {
 
@@ -152,73 +153,52 @@ void TopologyProfile::save(std::ostream& os) const {
 }
 
 TopologyProfile TopologyProfile::load(std::istream& is) {
-  // On-disk data is untrusted: every read checks fail() (a truncated
-  // file must not pass as eof-with-defaults), the rank count is capped
-  // before sizing any allocation, and each element must be a finite
-  // number (NaN/inf would silently poison every downstream cost).
+  Scanner in(is);
+  return load(in);
+}
+
+TopologyProfile TopologyProfile::load(Scanner& in) {
+  // On-disk data is untrusted: the scanner refuses truncated and
+  // malformed tokens and non-finite numbers (NaN/inf would silently
+  // poison every downstream cost), the rank count is capped, and each
+  // matrix grows with the entries read rather than with the header.
   constexpr std::size_t kMaxRanks = 8192;
-  std::string magic;
-  std::string version;
-  is >> magic >> version;
-  OPTIBAR_IO_REQUIRE(!is.fail() && magic == kMagic,
+  const std::string_view magic = in.token("profile magic");
+  OPTIBAR_IO_REQUIRE(magic == kMagic,
                      "not an optibar profile (magic '" << magic << "')");
+  const std::string version(in.token("profile version"));
   OPTIBAR_IO_REQUIRE(version != "v4",
                      "profile is a v4 tiled profile; load it with "
                      "TiledProfile::load");
   OPTIBAR_IO_REQUIRE(version == "v1" || version == "v2" || version == "v3",
                      "unsupported profile version " << version);
-  std::string tag;
-  std::size_t p = 0;
-  is >> tag >> p;
-  OPTIBAR_IO_REQUIRE(!is.fail() && tag == "P" && p > 0,
-                     "malformed profile header");
-  OPTIBAR_IO_REQUIRE(p <= kMaxRanks, "profile rank count "
-                                         << p << " exceeds the format cap ("
-                                         << kMaxRanks << ")");
-  auto read_body = [&](const std::string& name) {
-    Matrix<double> m(p, p);
-    for (std::size_t r = 0; r < p; ++r) {
-      for (std::size_t c = 0; c < p; ++c) {
-        is >> m(r, c);
-        OPTIBAR_IO_REQUIRE(!is.fail(), "truncated or malformed "
-                                           << name << " matrix at (" << r
-                                           << ", " << c << ")");
-        OPTIBAR_IO_REQUIRE(std::isfinite(m(r, c)),
-                           name << " matrix entry (" << r << ", " << c
-                                << ") is not finite");
-      }
-    }
-    return m;
+  in.expect("P");
+  const std::size_t p = in.count("profile rank count", kMaxRanks);
+  OPTIBAR_IO_REQUIRE(p > 0, "malformed profile header");
+  auto read_matrix = [&](const char* tag, const char* name) {
+    in.expect(tag);
+    return in.finite_matrix(p, name);
   };
-  auto read_matrix = [&](const char* expected_tag) {
-    is >> tag;
-    OPTIBAR_IO_REQUIRE(!is.fail() && tag == expected_tag,
-                       "expected matrix tag " << expected_tag << ", got "
-                                              << tag);
-    return read_body(expected_tag);
-  };
-  Matrix<double> o = read_matrix("O");
-  Matrix<double> l = read_matrix("L");
+  Matrix<double> o = read_matrix("O", "O matrix");
+  Matrix<double> l = read_matrix("L", "L matrix");
   if (version == "v1") {
     return TopologyProfile(std::move(o), std::move(l));
   }
   if (version == "v2") {
-    Matrix<double> g = read_matrix("G");
+    Matrix<double> g = read_matrix("G", "G matrix");
     return TopologyProfile(std::move(o), std::move(l), std::move(g));
   }
   // v3: an optional G, then the mandatory R (a v3 without R would have
   // been written as v1/v2 — see save()).
-  is >> tag;
-  OPTIBAR_IO_REQUIRE(!is.fail() && (tag == "G" || tag == "R"),
+  const std::string_view tag = in.token("matrix tag");
+  OPTIBAR_IO_REQUIRE(tag == "G" || tag == "R",
                      "expected matrix tag G or R, got " << tag);
   Matrix<double> g;
   if (tag == "G") {
-    g = read_body("G");
-    is >> tag;
-    OPTIBAR_IO_REQUIRE(!is.fail() && tag == "R",
-                       "expected matrix tag R, got " << tag);
+    g = in.finite_matrix(p, "G matrix");
+    in.expect("R");
   }
-  Matrix<double> r = read_body("R");
+  Matrix<double> r = in.finite_matrix(p, "R matrix");
   TopologyProfile profile =
       g.empty() ? TopologyProfile(std::move(o), std::move(l))
                 : TopologyProfile(std::move(o), std::move(l), std::move(g));

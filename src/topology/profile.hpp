@@ -34,6 +34,8 @@
 
 namespace optibar {
 
+class Scanner;
+
 class TopologyProfile {
  public:
   TopologyProfile() = default;
@@ -97,6 +99,10 @@ class TopologyProfile {
 
   void save(std::ostream& os) const;
   static TopologyProfile load(std::istream& is);
+
+  /// The same body for a profile nested in a larger file (a v4 tile):
+  /// reads from the enclosing file's scanner, magic line first.
+  static TopologyProfile load(Scanner& in);
 
   void save_file(const std::string& path) const;
   static TopologyProfile load_file(const std::string& path);

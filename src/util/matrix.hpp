@@ -30,6 +30,14 @@ class Matrix {
   Matrix(std::size_t rows, std::size_t cols, T fill = T{})
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
+  /// Adopt `data` as the row-major entries of a rows x cols matrix.
+  Matrix(std::size_t rows, std::size_t cols, std::vector<T> data)
+      : rows_(rows), cols_(cols), data_(std::move(data)) {
+    OPTIBAR_REQUIRE(data_.size() == rows_ * cols_,
+                    data_.size() << " entries for a " << rows_ << "x"
+                                 << cols_ << " matrix");
+  }
+
   /// Construct from nested initializer lists; all rows must have equal
   /// length. `Matrix<int> m{{1,2},{3,4}};`
   Matrix(std::initializer_list<std::initializer_list<T>> rows) {

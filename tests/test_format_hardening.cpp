@@ -8,59 +8,18 @@
 #include <sstream>
 #include <string>
 
-#include "barrier/algorithms.hpp"
-#include "barrier/schedule_io.hpp"
-#include "collective/generators.hpp"
-#include "collective/io.hpp"
-#include "core/plan_store.hpp"
-#include "profile/tiled_profile.hpp"
-#include "topology/generate.hpp"
-#include "topology/machine.hpp"
-#include "topology/mapping.hpp"
-#include "topology/profile.hpp"
+#include "format_fixtures.hpp"
 #include "util/error.hpp"
-#include "util/matrix.hpp"
 
 namespace optibar {
 namespace {
 
-// Where the final whitespace-separated token begins. Truncating inside
-// the last token can still parse (a shortened trailing number is a
-// number), so sweeps stop at this boundary — every shorter prefix is a
-// genuinely incomplete file.
-std::size_t last_token_start(const std::string& text) {
-  const std::size_t end = text.find_last_not_of(" \t\n");
-  if (end == std::string::npos) {
-    return 0;
-  }
-  const std::size_t space = text.find_last_of(" \t\n", end);
-  return space == std::string::npos ? 0 : space + 1;
-}
-
-std::string saved_schedule_text() {
-  StoredSchedule stored;
-  // Tree stages are fan-in/fan-out DAGs, so awaited flags survive the
-  // loader's deadlock gate and the sweep exercises flag parsing too.
-  stored.schedule = tree_barrier(4);
-  stored.awaited_stages.assign(stored.schedule.stage_count(), false);
-  stored.awaited_stages.back() = true;
-  std::ostringstream os;
-  save_schedule(os, stored);
-  return os.str();
-}
-
-std::string saved_collective_text() {
-  std::ostringstream os;
-  save_collective(os, binomial_broadcast(4, 0, 8, 8));
-  return os.str();
-}
-
-std::string saved_profile_text() {
-  const MachineSpec machine = quad_cluster();
-  std::ostringstream os;
-  generate_profile(machine, round_robin_mapping(machine, 3)).save(os);
-  return os.str();
-}
+using fixtures::last_token_start;
+using fixtures::saved_collective_text;
+using fixtures::saved_plan_store_text;
+using fixtures::saved_profile_text;
+using fixtures::saved_schedule_text;
+using fixtures::saved_tiled_profile_text;
 
 TEST(FormatHardening, EveryScheduleTruncationThrows) {
   const std::string text = saved_schedule_text();
@@ -99,27 +58,6 @@ TEST(FormatHardening, EveryProfileTruncationThrows) {
   }
 }
 
-// Smallest meaningful tiled profile: two 2-rank clusters of one class,
-// O/L only — covers the header, assignment/class-of lines, an embedded
-// dense tile, and the inter-class block.
-std::string saved_tiled_profile_text() {
-  Matrix<double> o(2, 2), l(2, 2);
-  o(0, 0) = 1.5e-6;
-  o(0, 1) = 2e-6;
-  o(1, 0) = 2e-6;
-  o(1, 1) = 1.5e-6;
-  l(0, 1) = 1.2e-7;
-  l(1, 0) = 1.2e-7;
-  const TiledProfile tiled({{0, 1}, {2, 3}}, {0, 0},
-                           {TopologyProfile(std::move(o), std::move(l))},
-                           Matrix<double>(1, 1, 2e-5),
-                           Matrix<double>(1, 1, 8e-6), Matrix<double>(),
-                           Matrix<double>(), 0.0);
-  std::ostringstream os;
-  tiled.save(os);
-  return os.str();
-}
-
 TEST(FormatHardening, EveryTiledProfileTruncationThrows) {
   const std::string text = saved_tiled_profile_text();
   {
@@ -130,27 +68,6 @@ TEST(FormatHardening, EveryTiledProfileTruncationThrows) {
     std::istringstream is(text.substr(0, len));
     EXPECT_THROW(TiledProfile::load(is), IoError) << "prefix length " << len;
   }
-}
-
-std::string saved_plan_store_text() {
-  // Two records — one healthy, one quarantined with a multi-line
-  // reason — so the sweep crosses the escaped-reason and state-token
-  // parsing as well as the embedded schedule block.
-  PlanStoreRecord healthy;
-  healthy.subset = {0, 1, 2, 3};
-  healthy.plan = {dissemination_barrier(4), {}};
-  healthy.predicted_cost = 2.5e-6;
-  PlanStoreRecord sick;
-  sick.subset = {1, 4, 6};
-  sick.state = PlanState::kQuarantined;
-  sick.failures = 3;
-  sick.repair_attempts = 1;
-  sick.reason = "stalled after stage 0\npending edge 1 -> 2\\retry";
-  sick.plan = {dissemination_barrier(3), {}};
-  sick.predicted_cost = 1.5e-6;
-  std::ostringstream os;
-  save_plan_store(os, 8, {healthy, sick});
-  return os.str();
 }
 
 TEST(FormatHardening, EveryPlanStoreTruncationThrows) {
