@@ -8,6 +8,8 @@
 // the sub-quadratic footprint directly:
 //   mem_profile_bytes — cost-model storage (dense matrices vs tiles)
 //   mem_plan_bytes    — schedule storage (dense stages vs blocked form)
+//   mem_compiled_bytes — the compiled 10k plan the predictor and netsim
+//                       read (CompiledSchedule::memory_bytes)
 //   events_per_second — netsim throughput on the compiled 10k schedule
 #include <benchmark/benchmark.h>
 
@@ -108,6 +110,8 @@ void BM_HierarchicalPredict(benchmark::State& state) {
   }
   state.counters["mem_plan_bytes"] =
       static_cast<double>(tuned.blocked.memory_bytes());
+  state.counters["mem_compiled_bytes"] =
+      static_cast<double>(compiled.memory_bytes());
 }
 BENCHMARK(BM_HierarchicalPredict)->Arg(10240)->Unit(benchmark::kMillisecond);
 
@@ -118,8 +122,6 @@ void BM_NetsimBlocked(benchmark::State& state) {
   const std::size_t ranks = static_cast<std::size_t>(state.range(0));
   const TiledProfile tiled = generate_tiled_profile(tenk_slice(ranks), ranks);
   const HierarchicalTuneResult tuned = tune_hierarchical(tiled);
-  CompiledSchedule compiled;
-  compile_blocked(tuned.blocked, tiled, compiled);
   SimOptions options;
   options.jitter = 0.02;
   SimWorkspace workspace;
@@ -127,7 +129,7 @@ void BM_NetsimBlocked(benchmark::State& state) {
   double events_per_run = 0.0;
   for (auto _ : state) {
     options.seed += 1;
-    simulate_compiled_into(compiled, tiled, options, workspace, result);
+    simulate_compiled_into(tuned.compiled, tiled, options, workspace, result);
     events_per_run = static_cast<double>(workspace.queue.scheduled());
     benchmark::DoNotOptimize(result.barrier_time());
   }

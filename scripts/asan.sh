@@ -3,7 +3,7 @@
 # `asan`-labelled tests (fault model, resilient executors, validator,
 # format scanner, hardening, oracle and mutation fuzzer, library
 # quarantine, plan service, collective dataflow verifier, netsim event
-# heap).
+# heap, compiled kernel rows and the hierarchical tuner).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,5 +13,6 @@ cmake --build build-asan -j "$(nproc)" --target \
   test_format_hardening test_scanner test_format_oracle test_format_fuzz \
   test_library test_plan_service test_failure_injection \
   test_runtime_scaling test_nonblocking test_netsim_parity \
-  test_collective_schedule test_event_queue
+  test_collective_schedule test_event_queue test_compiled_predict \
+  test_compiled_layout test_hierarchical
 ctest --test-dir build-asan -L asan --output-on-failure

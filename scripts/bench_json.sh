@@ -4,7 +4,8 @@
 # commits the refreshed numbers.
 #
 #   BENCH_predict.json    — bench_predict_throughput (compiled kernel vs
-#                           reference predict, compile cost, search step)
+#                           reference predict, compile cost, search step);
+#                           five interleaved repetitions
 #   BENCH_tuning.json     — bench_tuning_speed (full pipeline, stages,
 #                           thread scaling, library batch tuning, and
 #                           the text loads every tune starts from:
@@ -76,7 +77,8 @@ run() {
   echo "wrote $out"
 }
 
-run bench_predict_throughput BENCH_predict.json
+run bench_predict_throughput BENCH_predict.json --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true
 run bench_tuning_speed BENCH_tuning.json --benchmark_repetitions=5 \
     --benchmark_enable_random_interleaving=true
 run bench_collective BENCH_collective.json

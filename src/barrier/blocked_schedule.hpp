@@ -172,32 +172,44 @@ class BlockedSchedule {
 /// Compile a blocked plan straight into the CSR predictor form without
 /// ever building a dense stage matrix. `Costs` needs o(i, j), l(i, j)
 /// and ranks() — both TopologyProfile and TiledProfile qualify. All
-/// edges are priced two-sided; per-stage edge lists are sorted by
-/// (src, dst), so the result is bit-identical to compiling
+/// edges are priced two-sided; per-stage edge lists are put in (src,
+/// dst) order, so the result is bit-identical to compiling
 /// plan.to_dense() against the same cost source.
 template <class Costs>
 void compile_blocked(const BlockedSchedule& plan, const Costs& costs,
                      CompiledSchedule& out) {
-  OPTIBAR_REQUIRE(costs.ranks() == plan.ranks(),
+  const std::size_t p = plan.ranks();
+  OPTIBAR_REQUIRE(costs.ranks() == p,
                   "cost source has " << costs.ranks() << " ranks, plan has "
-                                     << plan.ranks());
-  std::vector<std::vector<CompiledEdge>> stage_edges(plan.stage_count());
-  for (std::size_t s = 0; s < plan.stage_count(); ++s) {
-    auto& edges = stage_edges[s];
-    plan.for_each_edge(s, [&](std::size_t src, std::size_t dst) {
-      edges.push_back(
-          CompiledEdge{src, dst, costs.l(src, dst), costs.o(src, dst)});
-    });
-    std::sort(edges.begin(), edges.end(),
-              [](const CompiledEdge& a, const CompiledEdge& b) {
-                return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-              });
-  }
-  std::vector<double> self_overhead(plan.ranks());
-  for (std::size_t i = 0; i < plan.ranks(); ++i) {
+                                     << p);
+  std::vector<double> self_overhead(p);
+  for (std::size_t i = 0; i < p; ++i) {
     self_overhead[i] = costs.o(i, i);
   }
-  out.compile_edges(plan.ranks(), stage_edges, self_overhead);
+  out.reserve(p, plan.stage_count(), plan.total_signals());
+  out.start_edges(p, self_overhead);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  std::vector<CompiledEdge> edges;
+  for (std::size_t s = 0; s < plan.stage_count(); ++s) {
+    pairs.clear();
+    plan.for_each_edge(s, [&](std::size_t src, std::size_t dst) {
+      pairs.emplace_back(static_cast<std::uint32_t>(src),
+                         static_cast<std::uint32_t>(dst));
+    });
+    // Blocks are enumerated cluster by cluster, so the pairs already
+    // come in (src, dst) order whenever clusters are rank ranges. The
+    // edges are built only once a stage's size is known: growing a
+    // CompiledEdge list by push_back re-faults ~400 pages per tenk pass.
+    if (!std::is_sorted(pairs.begin(), pairs.end())) {
+      std::sort(pairs.begin(), pairs.end());
+    }
+    edges.resize(pairs.size());
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      const auto [src, dst] = pairs[k];
+      edges[k] = CompiledEdge{src, dst, costs.l(src, dst), costs.o(src, dst)};
+    }
+    out.append_stage(edges);
+  }
 }
 
 }  // namespace optibar

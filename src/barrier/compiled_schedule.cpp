@@ -1,14 +1,106 @@
 #include "barrier/compiled_schedule.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/error.hpp"
 
 namespace optibar {
+namespace {
+
+/// Rank, row and edge indices are stored in 32 bits.
+constexpr std::size_t kIndexLimit = 0xFFFFFFFFu;
+
+}  // namespace
 
 CompiledSchedule::CompiledSchedule(const Schedule& schedule,
                                    const TopologyProfile& profile) {
   compile(schedule, profile);
+}
+
+void CompiledSchedule::reset(std::size_t ranks) {
+  OPTIBAR_REQUIRE(ranks < kIndexLimit,
+                  "too many ranks to compile: " << ranks);
+  p_ = ranks;
+  stages_ = 0;
+  row_of_.clear();
+  stage_row_.assign(1, 1);
+  rank_.assign(1, 0);
+  tgt_offsets_.assign(2, 0);
+  src_offsets_.assign(2, 0);
+  sum_l_.assign(1, 0.0);
+  max_o_.assign(1, 0.0);
+  recv_l_.assign(1, 0.0);
+  tgt_index_.clear();
+  tgt_l_.clear();
+  tgt_o_.clear();
+  tgt_r_.clear();
+  tgt_rma_.clear();
+  src_index_.clear();
+  src_rma_.clear();
+  edge_src_.clear();
+}
+
+void CompiledSchedule::finish_stage(std::size_t first_edge) {
+  const std::size_t last_edge = tgt_index_.size();
+  OPTIBAR_REQUIRE(last_edge < kIndexLimit, "too many edges to compile");
+  const std::size_t s = stages_++;
+  row_of_.resize(stages_ * p_);
+  std::uint32_t* const id = row_of_.data() + s * p_;
+  // The stage's row-id slice counts in-degrees first...
+  std::fill(id, id + p_, 0);
+  for (std::size_t e = first_edge; e < last_edge; ++e) {
+    ++id[tgt_index_[e]];
+  }
+  // ...then one ascending walk over the ranks opens a row for each rank
+  // that sends or receives. Targets are grouped by ascending sender, so
+  // a sender's Σ L and max O accumulate in ascending-target order.
+  const std::size_t first_row = rank_.size();
+  // senders[e - first_edge] is the sender of target edge e.
+  const Rank* const senders = edge_src_.data();
+  std::size_t k = first_edge;
+  std::uint32_t sources_end = src_offsets_.back();
+  for (std::size_t j = 0; j < p_; ++j) {
+    const std::uint32_t in_degree = id[j];
+    const std::size_t first_target = k;
+    double sum_l = 0.0;
+    double max_o = 0.0;
+    for (; k < last_edge && senders[k - first_edge] == j; ++k) {
+      sum_l += tgt_l_[k];
+      max_o = std::max(max_o, tgt_o_[k]);
+    }
+    if (in_degree == 0 && k == first_target) {
+      continue;  // idle: id[j] stays 0, the shared empty row
+    }
+    id[j] = static_cast<std::uint32_t>(rank_.size());
+    rank_.push_back(static_cast<Rank>(j));
+    tgt_offsets_.push_back(static_cast<std::uint32_t>(k));
+    sources_end += in_degree;
+    src_offsets_.push_back(sources_end);
+    sum_l_.push_back(sum_l);
+    max_o_.push_back(max_o);
+    recv_l_.push_back(0.0);
+  }
+  OPTIBAR_REQUIRE(k == last_edge, "stage edges not sorted by src");
+  OPTIBAR_REQUIRE(rank_.size() < kIndexLimit, "too many rows to compile");
+  stage_row_.push_back(static_cast<std::uint32_t>(rank_.size()));
+
+  // Sources: a stable counting sort by receiver. Edges are scattered in
+  // (sender, target) order, so every receiver's sources come out
+  // ascending and its two-sided Σ L sums in the reference order.
+  src_index_.resize(sources_end);
+  src_rma_.resize(sources_end);
+  fill_.assign(src_offsets_.begin() + static_cast<std::ptrdiff_t>(first_row),
+               src_offsets_.end() - 1);
+  for (std::size_t e = first_edge; e < last_edge; ++e) {
+    const std::uint32_t r = id[tgt_index_[e]];
+    const std::uint32_t at = fill_[r - first_row]++;
+    src_index_[at] = senders[e - first_edge];
+    src_rma_[at] = tgt_rma_[e];
+    if (!tgt_rma_[e]) {
+      recv_l_[r] += tgt_l_[e];
+    }
+  }
 }
 
 void CompiledSchedule::compile(const Schedule& schedule,
@@ -17,177 +109,125 @@ void CompiledSchedule::compile(const Schedule& schedule,
   OPTIBAR_REQUIRE(profile.ranks() == p,
                   "profile has " << profile.ranks() << " ranks, schedule has "
                                  << p);
-  p_ = p;
-  stages_ = schedule.stage_count();
-  const std::size_t rows = stages_ * p_;
-
-  tgt_offsets_.clear();
-  tgt_offsets_.reserve(rows + 1);
-  tgt_offsets_.push_back(0);
-  tgt_index_.clear();
-  tgt_l_.clear();
-  tgt_o_.clear();
-  tgt_r_.clear();
-  tgt_rma_.clear();
-  src_offsets_.clear();
-  src_offsets_.reserve(rows + 1);
-  src_offsets_.push_back(0);
-  src_index_.clear();
-  src_rma_.clear();
-  sum_l_.clear();
-  sum_l_.reserve(rows);
-  max_o_.clear();
-  max_o_.reserve(rows);
-  recv_l_.clear();
-  recv_l_.reserve(rows);
-
+  reset(p);
   self_o_.resize(p_);
   for (std::size_t i = 0; i < p_; ++i) {
     self_o_[i] = profile.o(i, i);
   }
-
-  for (std::size_t s = 0; s < stages_; ++s) {
+  for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
     const StageMatrix& m = schedule.stage(s);
     const StageMatrix& t = schedule.transport(s);
     const bool mixed = !t.empty();
-    // Target rows: same ascending-j order as Schedule::targets_of, so
-    // the L sum below accumulates in exactly the reference order.
+    const std::size_t first_edge = tgt_index_.size();
+    edge_src_.clear();
+    // One row-by-row read of the stage matrix, in the ascending-j order
+    // of Schedule::targets_of; all-zero runs of eight cells are skipped
+    // a word at a time.
     for (std::size_t i = 0; i < p_; ++i) {
-      double sum_l = 0.0;
-      double max_o = 0.0;
+      const std::uint8_t* const cells = &m.at_unchecked(i, 0);
       for (std::size_t j = 0; j < p_; ++j) {
-        if (!m.at_unchecked(i, j)) {
+        if (j % 8 == 0 && j + 8 <= p_) {
+          std::uint64_t word = 0;
+          std::memcpy(&word, cells + j, sizeof word);
+          if (word == 0) {
+            j += 7;
+            continue;
+          }
+        }
+        if (!cells[j]) {
           continue;
         }
         const bool put = mixed && t.at_unchecked(i, j);
-        const double l = profile.l(i, j);
         // A put needs only local initiation (O(i,i)) — no rendezvous
         // with the receiver — and delivers after R(i,j).
-        const double o = put ? profile.o(i, i) : profile.o(i, j);
-        tgt_index_.push_back(j);
-        tgt_l_.push_back(l);
-        tgt_o_.push_back(o);
+        tgt_index_.push_back(static_cast<Rank>(j));
+        tgt_l_.push_back(profile.l(i, j));
+        tgt_o_.push_back(put ? profile.o(i, i) : profile.o(i, j));
         tgt_r_.push_back(put ? profile.r(i, j) : 0.0);
         tgt_rma_.push_back(put ? 1 : 0);
-        sum_l += l;
-        max_o = std::max(max_o, o);
+        edge_src_.push_back(static_cast<Rank>(i));
       }
-      tgt_offsets_.push_back(tgt_index_.size());
-      sum_l_.push_back(sum_l);
-      max_o_.push_back(max_o);
     }
-    // Source rows: ascending-i order of Schedule::sources_of. Puts
-    // bypass the receiver's CPU, so only two-sided edges contribute to
-    // the serial completion processing term.
-    for (std::size_t j = 0; j < p_; ++j) {
-      double recv_l = 0.0;
-      for (std::size_t i = 0; i < p_; ++i) {
-        if (!m.at_unchecked(i, j)) {
-          continue;
-        }
-        const bool put = mixed && t.at_unchecked(i, j);
-        src_index_.push_back(i);
-        src_rma_.push_back(put ? 1 : 0);
-        if (!put) {
-          recv_l += profile.l(i, j);
-        }
-      }
-      src_offsets_.push_back(src_index_.size());
-      recv_l_.push_back(recv_l);
-    }
+    finish_stage(first_edge);
   }
+}
+
+void CompiledSchedule::reserve(std::size_t ranks, std::size_t stages,
+                               std::size_t edges) {
+  // Each edge opens at most two rows, and a stage at most one per rank.
+  const std::size_t rows = 1 + std::min(stages * ranks, 2 * edges);
+  row_of_.reserve(stages * ranks);
+  stage_row_.reserve(stages + 1);
+  rank_.reserve(rows);
+  tgt_offsets_.reserve(rows + 1);
+  src_offsets_.reserve(rows + 1);
+  sum_l_.reserve(rows);
+  max_o_.reserve(rows);
+  recv_l_.reserve(rows);
+  tgt_index_.reserve(edges);
+  tgt_l_.reserve(edges);
+  tgt_o_.reserve(edges);
+  tgt_r_.reserve(edges);
+  tgt_rma_.reserve(edges);
+  src_index_.reserve(edges);
+  src_rma_.reserve(edges);
+  self_o_.reserve(ranks);
+  edge_src_.reserve(edges);
+  fill_.reserve(std::min(ranks, 2 * edges));
 }
 
 void CompiledSchedule::compile_edges(
     std::size_t ranks, const std::vector<std::vector<CompiledEdge>>& stage_edges,
     const std::vector<double>& self_overhead) {
+  std::size_t signals = 0;
+  for (const std::vector<CompiledEdge>& edges : stage_edges) {
+    signals += edges.size();
+  }
+  reserve(ranks, stage_edges.size(), signals);
+  start_edges(ranks, self_overhead);
+  for (const std::vector<CompiledEdge>& edges : stage_edges) {
+    append_stage(edges);
+  }
+}
+
+void CompiledSchedule::start_edges(std::size_t ranks,
+                                   std::span<const double> self_overhead) {
   OPTIBAR_REQUIRE(ranks > 0, "compile_edges with zero ranks");
   OPTIBAR_REQUIRE(self_overhead.size() == ranks,
                   "self_overhead has " << self_overhead.size()
                                        << " entries, expected " << ranks);
-  p_ = ranks;
-  stages_ = stage_edges.size();
-  const std::size_t rows = stages_ * p_;
-
-  tgt_offsets_.clear();
-  tgt_offsets_.reserve(rows + 1);
-  tgt_offsets_.push_back(0);
-  tgt_index_.clear();
-  tgt_l_.clear();
-  tgt_o_.clear();
-  tgt_r_.clear();
-  tgt_rma_.clear();
-  src_offsets_.clear();
-  src_offsets_.reserve(rows + 1);
-  src_offsets_.push_back(0);
-  src_index_.clear();
-  src_rma_.clear();
-  sum_l_.clear();
-  sum_l_.reserve(rows);
-  max_o_.clear();
-  max_o_.reserve(rows);
-  recv_l_.clear();
-  recv_l_.reserve(rows);
-
+  reset(ranks);
   self_o_.assign(self_overhead.begin(), self_overhead.end());
+}
 
-  // Scratch permutation into (dst, src) order for the source rows.
-  std::vector<std::size_t> by_dst;
-  for (std::size_t s = 0; s < stages_; ++s) {
-    const std::vector<CompiledEdge>& edges = stage_edges[s];
-    // Target rows in the given (src, dst) order — the ascending-target
-    // reference order; one pass per stage, senders grouped contiguously.
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < p_; ++i) {
-      double sum_l = 0.0;
-      double max_o = 0.0;
-      for (; k < edges.size() && edges[k].src == i; ++k) {
-        const CompiledEdge& e = edges[k];
-        OPTIBAR_REQUIRE(e.src < p_ && e.dst < p_ && e.src != e.dst,
-                        "bad edge " << e.src << "->" << e.dst);
-        OPTIBAR_REQUIRE(k == 0 || edges[k - 1].src < e.src ||
-                            edges[k - 1].dst < e.dst,
-                        "stage edges must be sorted by (src, dst) without "
-                        "duplicates");
-        tgt_index_.push_back(e.dst);
-        tgt_l_.push_back(e.l);
-        tgt_o_.push_back(e.o);
-        tgt_r_.push_back(e.one_sided ? e.r : 0.0);
-        tgt_rma_.push_back(e.one_sided ? 1 : 0);
-        sum_l += e.l;
-        max_o = std::max(max_o, e.o);
-      }
-      tgt_offsets_.push_back(tgt_index_.size());
-      sum_l_.push_back(sum_l);
-      max_o_.push_back(max_o);
-    }
-    OPTIBAR_REQUIRE(k == edges.size(), "stage edges not sorted by src");
-    // Source rows in (dst, src) order — ascending sources per receiver.
-    by_dst.resize(edges.size());
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      by_dst[e] = e;
-    }
-    std::sort(by_dst.begin(), by_dst.end(),
-              [&edges](std::size_t a, std::size_t b) {
-                return edges[a].dst != edges[b].dst
-                           ? edges[a].dst < edges[b].dst
-                           : edges[a].src < edges[b].src;
-              });
-    std::size_t q = 0;
-    for (std::size_t j = 0; j < p_; ++j) {
-      double recv_l = 0.0;
-      for (; q < by_dst.size() && edges[by_dst[q]].dst == j; ++q) {
-        const CompiledEdge& e = edges[by_dst[q]];
-        src_index_.push_back(e.src);
-        src_rma_.push_back(e.one_sided ? 1 : 0);
-        if (!e.one_sided) {
-          recv_l += e.l;
-        }
-      }
-      src_offsets_.push_back(src_index_.size());
-      recv_l_.push_back(recv_l);
-    }
+void CompiledSchedule::append_stage(std::span<const CompiledEdge> edges) {
+  const std::size_t first_edge = tgt_index_.size();
+  edge_src_.clear();
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    const CompiledEdge& e = edges[k];
+    OPTIBAR_REQUIRE(e.src < p_ && e.dst < p_ && e.src != e.dst,
+                    "bad edge " << e.src << "->" << e.dst);
+    OPTIBAR_REQUIRE(k == 0 || edges[k - 1].src < e.src ||
+                        (edges[k - 1].src == e.src && edges[k - 1].dst < e.dst),
+                    "stage edges must be sorted by (src, dst) without "
+                    "duplicates");
+    tgt_index_.push_back(static_cast<Rank>(e.dst));
+    tgt_l_.push_back(e.l);
+    tgt_o_.push_back(e.o);
+    tgt_r_.push_back(e.one_sided ? e.r : 0.0);
+    tgt_rma_.push_back(e.one_sided ? 1 : 0);
+    edge_src_.push_back(static_cast<Rank>(e.src));
   }
+  finish_stage(first_edge);
+}
+
+std::size_t CompiledSchedule::memory_bytes() const {
+  const auto bytes = [](const auto& v) { return v.size() * sizeof(v[0]); };
+  return sizeof(*this) + bytes(row_of_) + bytes(stage_row_) + bytes(rank_) +
+         bytes(tgt_offsets_) + bytes(src_offsets_) + bytes(sum_l_) +
+         bytes(max_o_) + bytes(recv_l_) + bytes(tgt_index_) + bytes(tgt_l_) +
+         bytes(tgt_o_) + bytes(tgt_r_) + bytes(tgt_rma_) + bytes(src_index_) +
+         bytes(src_rma_) + bytes(self_o_);
 }
 
 void CompiledSchedule::set_one_sided(std::size_t s, std::size_t rank,
@@ -221,8 +261,8 @@ void CompiledSchedule::set_one_sided(std::size_t s, std::size_t rank,
   // entry is a binary search away; the two-sided L sum is re-summed in
   // compile()'s ascending-source order.
   const std::size_t rr = row(j, s);
-  const std::size_t* sources = src_index_.data();
-  const std::size_t* source = std::lower_bound(
+  const Rank* sources = src_index_.data();
+  const Rank* source = std::lower_bound(
       sources + src_offsets_[rr], sources + src_offsets_[rr + 1], rank);
   src_rma_[static_cast<std::size_t>(source - sources)] = put ? 1 : 0;
   double recv_l = 0.0;
@@ -248,13 +288,17 @@ void predict_into(const CompiledSchedule& compiled,
   }
 
   PredictWorkspace& ws = workspace;
+  std::vector<double>& ready = ws.ready;
   if (options.entry_times.empty()) {
-    ws.ready.assign(p, 0.0);
+    ready.assign(p, 0.0);
   } else {
-    ws.ready.assign(options.entry_times.begin(), options.entry_times.end());
+    ready.assign(options.entry_times.begin(), options.entry_times.end());
   }
-  ws.next.assign(p, 0.0);
-  ws.batch.assign(p, 0.0);
+  std::size_t widest = 0;  // rows of the busiest stage
+  for (std::size_t s = 0; s < compiled.stage_count(); ++s) {
+    widest = std::max(widest, compiled.row_end(s) - compiled.row_begin(s));
+  }
+  ws.batch.resize(widest);
   const bool egress = !options.egress_resource_of.empty();
   if (egress) {
     const std::size_t max_resource =
@@ -270,42 +314,42 @@ void predict_into(const CompiledSchedule& compiled,
   }
 
   const double start_of_critical =
-      *std::max_element(ws.ready.begin(), ws.ready.end());
+      *std::max_element(ready.begin(), ready.end());
   out.stage_increment.clear();
+  // The reference's first stage adds a 0.0 batch cost to every idle
+  // rank, which turns an entry time of -0.0 into +0.0. Applying that
+  // once up front lets each stage leave its idle ranks untouched: no
+  // cost below is ever -0.0, so x + 0.0 is then exactly x.
+  if (compiled.stage_count() > 0) {
+    for (double& t : ready) {
+      t += 0.0;
+    }
+  }
 
+  // Ready times update in place: senders first take their own batch
+  // completion, then receivers wait for every incoming batch of the
+  // stage. A put edge becomes visible R(i,j) after the sender's batch
+  // (target_rma_latency is exactly 0.0 on two-sided edges, so pure
+  // two-sided schedules stay bit-identical).
+  double before = start_of_critical;
   for (std::size_t s = 0; s < compiled.stage_count(); ++s) {
     const bool awaited =
         s < options.awaited_stages.size() && options.awaited_stages[s];
-    const double before = *std::max_element(ws.ready.begin(), ws.ready.end());
-
-    // A rank's own step completes after it issues its batch; receivers
-    // additionally wait for every incoming batch of the stage. A put
-    // edge becomes visible R(i,j) after the sender's batch (tgt_r_ is
-    // exactly 0.0 on two-sided edges, so pure two-sided schedules stay
-    // bit-identical).
-    for (std::size_t i = 0; i < p; ++i) {
-      ws.batch[i] = ws.ready[i] + compiled.batch_cost(i, s, awaited);
-      ws.next[i] = ws.batch[i];
-    }
-    for (std::size_t i = 0; i < p; ++i) {
-      const std::span<const std::size_t> targets = compiled.targets(i, s);
-      const std::span<const double> rma = compiled.target_rma_latency(i, s);
-      for (std::size_t k = 0; k < targets.size(); ++k) {
-        const std::size_t j = targets[k];
-        ws.next[j] = std::max(ws.next[j], ws.batch[i] + rma[k]);
-      }
-    }
+    const std::size_t first = compiled.row_begin(s);
+    const std::size_t last = compiled.row_end(s);
     if (egress) {
       // Analytic shared-egress serialization (see predict_reference):
       // per resource, ready time, max O and sum of L over its remote
-      // messages, accumulated in (sender, target) scan order into the
-      // flat dense-id arrays.
+      // messages, accumulated in (sender, target) scan order from the
+      // senders' pre-stage ready times.
       const std::vector<std::size_t>& resource = options.egress_resource_of;
-      for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t row = first; row < last; ++row) {
+        const std::size_t i = compiled.row_rank(row);
         const std::size_t r = resource[i];
-        const std::span<const std::size_t> targets = compiled.targets(i, s);
-        const std::span<const double> l = compiled.target_latency(i, s);
-        const std::span<const double> o = compiled.target_overhead(i, s);
+        const std::span<const CompiledSchedule::Rank> targets =
+            compiled.targets(row);
+        const std::span<const double> l = compiled.target_latency(row);
+        const std::span<const double> o = compiled.target_overhead(row);
         for (std::size_t k = 0; k < targets.size(); ++k) {
           if (r == resource[targets[k]]) {
             continue;
@@ -313,25 +357,44 @@ void predict_into(const CompiledSchedule& compiled,
           if (!ws.res_active[r]) {
             ws.res_active[r] = 1;
             ws.touched_resources.push_back(r);
-            ws.res_ready[r] = ws.ready[i];
+            ws.res_ready[r] = ready[i];
             ws.res_max_o[r] = 0.0;
             ws.res_sum_l[r] = 0.0;
           } else {
-            ws.res_ready[r] = std::max(ws.res_ready[r], ws.ready[i]);
+            ws.res_ready[r] = std::max(ws.res_ready[r], ready[i]);
           }
           ws.res_max_o[r] = std::max(ws.res_max_o[r], o[k]);
           ws.res_sum_l[r] += l[k];
         }
       }
-      for (std::size_t i = 0; i < p; ++i) {
-        const std::size_t r = resource[i];
-        for (std::size_t j : compiled.targets(i, s)) {
+    }
+    for (std::size_t row = first; row < last; ++row) {
+      if (!compiled.targets(row).empty()) {
+        double& t = ready[compiled.row_rank(row)];
+        t += compiled.batch_cost(row, awaited);
+        ws.batch[row - first] = t;
+      }
+    }
+    for (std::size_t row = first; row < last; ++row) {
+      const std::span<const CompiledSchedule::Rank> targets =
+          compiled.targets(row);
+      const std::span<const double> rma = compiled.target_rma_latency(row);
+      for (std::size_t k = 0; k < targets.size(); ++k) {
+        double& t = ready[targets[k]];
+        t = std::max(t, ws.batch[row - first] + rma[k]);
+      }
+    }
+    if (egress) {
+      const std::vector<std::size_t>& resource = options.egress_resource_of;
+      for (std::size_t row = first; row < last; ++row) {
+        const std::size_t r = resource[compiled.row_rank(row)];
+        for (const CompiledSchedule::Rank j : compiled.targets(row)) {
           if (r == resource[j]) {
             continue;
           }
           const double bound =
               ws.res_ready[r] + ws.res_max_o[r] + ws.res_sum_l[r];
-          ws.next[j] = std::max(ws.next[j], bound);
+          ready[j] = std::max(ready[j], bound);
         }
       }
       for (std::size_t r : ws.touched_resources) {
@@ -340,18 +403,18 @@ void predict_into(const CompiledSchedule& compiled,
       ws.touched_resources.clear();
     }
     if (options.receiver_processing) {
-      for (std::size_t j = 0; j < p; ++j) {
-        ws.next[j] += compiled.recv_processing(j, s);
+      for (std::size_t row = first; row < last; ++row) {
+        ready[compiled.row_rank(row)] += compiled.recv_processing(row);
       }
     }
-    std::swap(ws.ready, ws.next);
-    const double after = *std::max_element(ws.ready.begin(), ws.ready.end());
+    const double after = *std::max_element(ready.begin(), ready.end());
     out.stage_increment.push_back(after - before);
+    before = after;
   }
 
-  out.rank_completion.assign(ws.ready.begin(), ws.ready.end());
+  out.rank_completion.assign(ready.begin(), ready.end());
   out.critical_path =
-      *std::max_element(ws.ready.begin(), ws.ready.end()) - start_of_critical;
+      *std::max_element(ready.begin(), ready.end()) - start_of_critical;
 }
 
 double predicted_time(const CompiledSchedule& compiled,

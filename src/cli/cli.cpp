@@ -270,8 +270,8 @@ int tune_hierarchical_cmd(const Args& args, std::ostream& out) {
   out << "predicted cost: " << tuned.predicted_cost << " s\n";
 
   if (args.has("simulate")) {
-    // Netsim the tuned plan to completion — the blocked plan compiles
-    // straight into the CSR engine; no dense stage matrix even at 10k.
+    // Netsim the tuned plan to completion — on the compiled plan the
+    // tuner priced; no dense stage matrix even at 10k.
     SimOptions sim;
     sim.jitter = args.double_or("jitter", 0.03);
     sim.seed = args.size_or("seed", 2011);
@@ -283,15 +283,13 @@ int tune_hierarchical_cmd(const Args& args, std::ostream& out) {
                                  tuned.dense->profile(), sim, reps, &pool) *
               static_cast<double>(reps);
     } else {
-      CompiledSchedule compiled;
-      compile_blocked(tuned.blocked, tuned.tiled, compiled);
       SimWorkspace workspace;
       SimResult result;
       for (std::size_t rep = 0; rep < reps; ++rep) {
         SimOptions rep_options = sim;
         rep_options.seed = sim.seed + rep;
-        simulate_compiled_into(compiled, tuned.tiled, rep_options, workspace,
-                               result);
+        simulate_compiled_into(tuned.compiled, tuned.tiled, rep_options,
+                               workspace, result);
         OPTIBAR_REQUIRE(!result.deadlocked,
                         "simulated barrier deadlocked at repetition " << rep);
         total += result.barrier_time();

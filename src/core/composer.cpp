@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -29,7 +30,17 @@ Pick pick_algorithm(const TopologyProfile& profile,
                     const std::vector<ComponentAlgorithm>& algorithms,
                     ThreadPool* pool) {
   OPTIBAR_REQUIRE(!algorithms.empty(), "no candidate algorithms");
-  const TopologyProfile local_profile = profile.restrict_to(participants);
+  // Participants 0..n-1 of an n-rank profile (a flat leaf, such as the
+  // hierarchical tuner's leader root) restrict to the profile itself.
+  bool whole = participants.size() == profile.ranks();
+  for (std::size_t k = 0; whole && k < participants.size(); ++k) {
+    whole = participants[k] == k;
+  }
+  std::optional<TopologyProfile> restricted;
+  if (!whole) {
+    restricted.emplace(profile.restrict_to(participants));
+  }
+  const TopologyProfile& local_profile = whole ? profile : *restricted;
   auto evaluate = [&](const ComponentAlgorithm& algo) {
     Schedule arrival = algo.arrival(participants.size());
     // Compiled evaluation with per-thread reused storage: candidate

@@ -3,7 +3,6 @@
 #include <sstream>
 #include <utility>
 
-#include "barrier/compiled_schedule.hpp"
 #include "barrier/validate.hpp"
 #include "core/cluster_tree.hpp"
 #include "util/error.hpp"
@@ -100,12 +99,12 @@ HierarchicalTuneResult tune_blocked(const TiledProfile& tiled,
                                         << validation.describe());
   }
 
-  CompiledSchedule compiled;
-  compile_blocked(result.blocked, tiled, compiled);
+  compile_blocked(result.blocked, tiled, result.compiled);
   PredictOptions predict_options;
   predict_options.awaited_stages = result.blocked.awaited_stages();
   PredictWorkspace workspace;
-  result.predicted_cost = predicted_time(compiled, predict_options, workspace);
+  result.predicted_cost =
+      predicted_time(result.compiled, predict_options, workspace);
   return result;
 }
 

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "barrier/blocked_schedule.hpp"
+#include "barrier/compiled_schedule.hpp"
 #include "core/composer.hpp"
 #include "core/engine_options.hpp"
 #include "core/tuner.hpp"
@@ -66,9 +67,14 @@ struct HierarchicalTuneResult {
   std::string leader_algorithm;
   bool leader_self_completing = false;
 
+  /// The blocked plan compiled against `tiled` (compile_blocked), the
+  /// very form predicted_cost was priced on: predict or simulate it
+  /// instead of compiling the plan again. Empty on the dense path.
+  CompiledSchedule compiled;
+
   /// Eq. 1/2 predicted critical-path cost of the assembled barrier,
-  /// computed on the compiled blocked plan (dense path: the dense
-  /// tuner's own prediction).
+  /// computed on `compiled` (dense path: the dense tuner's own
+  /// prediction).
   double predicted_cost = 0.0;
 
   /// Human-readable summary: decomposition shape plus one line per

@@ -23,10 +23,14 @@ constexpr std::size_t kMaxEntries = 100000;
 
 /// Reasons are free text that may span lines (StallReport::describe is
 /// multi-line); the store is line-oriented, so reasons are stored on one
-/// line with backslash escapes. "-" encodes the empty reason.
+/// line with backslash escapes. "-" encodes the empty reason, so a
+/// reason that is exactly "-" is written "\-".
 std::string escape_reason(const std::string& reason) {
   if (reason.empty()) {
     return "-";
+  }
+  if (reason == "-") {
+    return "\\-";  // a literal "-" would read back as the empty reason
   }
   std::string out;
   out.reserve(reason.size());
@@ -71,6 +75,9 @@ std::string unescape_reason(std::string_view text) {
         break;
       case 'r':
         out += '\r';
+        break;
+      case '-':
+        out += '-';
         break;
       default:
         OPTIBAR_IO_FAIL("unknown escape '\\" << next << "' in reason line");

@@ -103,8 +103,8 @@ class Engine {
     ws_.states.assign(p_, RankState{});
     ws_.queue.reset();
     // Buffered-message pool: empty chains, bump allocator rewound.
-    ws_.buf_head.assign(stages_ * p_, kNil);
-    ws_.buf_tail.assign(stages_ * p_, kNil);
+    ws_.buf_head.assign(compiled_.row_count(), kNil);
+    ws_.buf_tail.assign(compiled_.row_count(), kNil);
     ws_.buf_src.clear();
     ws_.buf_injected.clear();
     ws_.buf_ghost.clear();
@@ -256,24 +256,24 @@ class Engine {
       return;
     }
 
-    // CSR spans: the zero-alloc replacement for the reference's
-    // per-call sources_of/targets_of vectors. target_overhead/
-    // target_latency hold the same O(rank,dst)/L(rank,dst) doubles the
-    // profile would return, aligned with targets.
-    const std::span<const std::size_t> targets =
-        compiled_.targets(rank, stage);
-    const std::span<const double> target_l =
-        compiled_.target_latency(rank, stage);
-    const std::span<const double> target_o =
-        compiled_.target_overhead(rank, stage);
+    // CSR spans of the (rank, stage) row: the zero-alloc replacement
+    // for the reference's per-call sources_of/targets_of vectors.
+    // target_overhead/target_latency hold the same O(rank,dst)/
+    // L(rank,dst) doubles the profile would return, aligned with
+    // targets.
+    const std::size_t row = compiled_.row(rank, stage);
+    const std::span<const CompiledSchedule::Rank> targets =
+        compiled_.targets(row);
+    const std::span<const double> target_l = compiled_.target_latency(row);
+    const std::span<const double> target_o = compiled_.target_overhead(row);
     const std::span<const std::uint8_t> target_put =
-        compiled_.target_one_sided(rank, stage);
+        compiled_.target_one_sided(row);
     std::size_t put_count = 0;
     for (const std::uint8_t put : target_put) {
       put_count += (put != 0) ? 1 : 0;
     }
     st.recvs_pending =
-        static_cast<std::uint32_t>(compiled_.sources(rank, stage).size());
+        static_cast<std::uint32_t>(compiled_.sources(row).size());
     // Synchronized puts are fire-and-forget: the whole put batch is one
     // pending unit that completes at its last injection (kPutsDone),
     // never waiting on matches. put_count == 0 reduces to the classic
@@ -351,7 +351,6 @@ class Engine {
     // the engine and grow the pool (reallocating the SoA vectors), but
     // never appends to this chain — completing this stage requires
     // consuming these very messages first.
-    const std::size_t row = stage * p_ + rank;
     std::uint32_t node = ws_.buf_head[row];
     while (node != kNil) {
       const std::uint32_t next = ws_.buf_next[node];
@@ -407,10 +406,10 @@ class Engine {
     buffer_message(src, dst, stage, now, ghost, /*put=*/false);
   }
 
-  /// Append to the (stage, dst) FIFO chain in the SoA pool.
+  /// Append to the FIFO chain of dst's row in `stage` in the SoA pool.
   void buffer_message(std::size_t src, std::size_t dst, std::size_t stage,
                       double injected, bool ghost, bool put) {
-    const std::size_t row = stage * p_ + dst;
+    const std::size_t row = compiled_.row(dst, stage);
     const std::uint32_t node = static_cast<std::uint32_t>(ws_.buf_src.size());
     ws_.buf_src.push_back(static_cast<std::uint32_t>(src));
     ws_.buf_injected.push_back(injected);

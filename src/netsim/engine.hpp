@@ -212,9 +212,10 @@ struct SimWorkspace {
   std::vector<double> egress_busy;
 
   // Buffered-message pool: struct-of-arrays slab, bump-allocated per
-  // run, threaded into per-(stage, rank) FIFO chains. Row r of
-  // buf_head/buf_tail is stage * ranks + rank; buf_next links nodes in
-  // arrival order (the order stage entry must drain them in).
+  // run, threaded into one FIFO chain per receiving row. Entry r of
+  // buf_head/buf_tail is the compiled schedule's row r (the receiver's
+  // row in the message's stage); buf_next links nodes in arrival order
+  // (the order stage entry must drain them in).
   std::vector<std::uint32_t> buf_head;
   std::vector<std::uint32_t> buf_tail;
   std::vector<std::uint32_t> buf_src;

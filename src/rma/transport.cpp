@@ -73,18 +73,20 @@ double assign_transports(Schedule& schedule, const TopologyProfile& profile,
   const auto cost = [&] {
     return predicted_time(compiled, options, workspace);
   };
-  // Every edge in (stage, src, dst) order: targets() is ascending.
+  // Every edge in (stage, src, dst) order: a stage's rows ascend by
+  // rank and each row's targets() ascend.
   const auto for_each_edge = [&](const auto& visit) {
     for (std::size_t s = 0; s < compiled.stage_count(); ++s) {
-      for (std::size_t i = 0; i < p; ++i) {
-        for (std::size_t k = 0; k < compiled.targets(i, s).size(); ++k) {
-          visit(s, i, k);
+      for (std::size_t r = compiled.row_begin(s); r < compiled.row_end(s);
+           ++r) {
+        for (std::size_t k = 0; k < compiled.targets(r).size(); ++k) {
+          visit(s, compiled.row_rank(r), k);
         }
       }
     }
   };
   const auto is_put = [&](std::size_t s, std::size_t i, std::size_t k) {
-    return compiled.target_one_sided(i, s)[k] != 0;
+    return compiled.target_one_sided(compiled.row(i, s))[k] != 0;
   };
   const auto flip = [&](std::size_t s, std::size_t i, std::size_t k) {
     compiled.set_one_sided(s, i, k, !is_put(s, i, k), profile);
@@ -148,12 +150,13 @@ double assign_transports(Schedule& schedule, const TopologyProfile& profile,
   // Write the surviving tags back, one set_transport() per stage.
   for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
     StageMatrix tags(p, p, 0);
-    for (std::size_t i = 0; i < p; ++i) {
-      const std::span<const std::size_t> targets = compiled.targets(i, s);
+    for (std::size_t r = compiled.row_begin(s); r < compiled.row_end(s); ++r) {
+      const std::span<const CompiledSchedule::Rank> targets =
+          compiled.targets(r);
       const std::span<const std::uint8_t> one_sided =
-          compiled.target_one_sided(i, s);
+          compiled.target_one_sided(r);
       for (std::size_t k = 0; k < targets.size(); ++k) {
-        tags(i, targets[k]) = one_sided[k];
+        tags(compiled.row_rank(r), targets[k]) = one_sided[k];
       }
     }
     schedule.set_transport(s, std::move(tags));

@@ -1,5 +1,6 @@
 #include "topology/profile.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
@@ -60,34 +61,41 @@ bool TopologyProfile::is_symmetric(double relative_tolerance) const {
   return true;
 }
 
-TopologyProfile TopologyProfile::symmetrized() const {
-  Matrix<double> o = overhead_;
-  Matrix<double> l = latency_;
-  Matrix<double> g = bandwidth_;
-  Matrix<double> r = rma_latency_;
-  for (std::size_t i = 0; i < ranks(); ++i) {
-    for (std::size_t j = i + 1; j < ranks(); ++j) {
-      const double mo = 0.5 * (o(i, j) + o(j, i));
-      const double ml = 0.5 * (l(i, j) + l(j, i));
-      o(i, j) = o(j, i) = mo;
-      l(i, j) = l(j, i) = ml;
-      if (!g.empty()) {
-        const double mg = 0.5 * (g(i, j) + g(j, i));
-        g(i, j) = g(j, i) = mg;
-      }
-      if (!r.empty()) {
-        const double mr = 0.5 * (r(i, j) + r(j, i));
-        r(i, j) = r(j, i) = mr;
+namespace {
+
+/// Replace each off-diagonal pair of `m` by its mean, in place; a no-op
+/// on an absent (empty) plane. Pairs are visited tile by tile, so the
+/// column side of a tile stays in cache; each pair's mean depends on
+/// that pair alone, so the visiting order cannot change a bit.
+void symmetrize(Matrix<double>& m) {
+  constexpr std::size_t kTile = 16;
+  const std::size_t n = m.rows();
+  for (std::size_t bi = 0; bi < n; bi += kTile) {
+    for (std::size_t bj = bi; bj < n; bj += kTile) {
+      for (std::size_t i = bi; i < std::min(bi + kTile, n); ++i) {
+        for (std::size_t j = std::max(bj, i + 1); j < std::min(bj + kTile, n);
+             ++j) {
+          double& upper = m.at_unchecked(i, j);
+          double& lower = m.at_unchecked(j, i);
+          upper = lower = 0.5 * (upper + lower);
+        }
       }
     }
   }
-  TopologyProfile result =
-      g.empty() ? TopologyProfile(std::move(o), std::move(l))
-                : TopologyProfile(std::move(o), std::move(l), std::move(g));
-  if (!r.empty()) {
-    result.set_rma_latency(std::move(r));
-  }
-  return result;
+}
+
+}  // namespace
+
+TopologyProfile TopologyProfile::symmetrized() const& {
+  return TopologyProfile(*this).symmetrized();
+}
+
+TopologyProfile TopologyProfile::symmetrized() && {
+  symmetrize(overhead_);
+  symmetrize(latency_);
+  symmetrize(bandwidth_);
+  symmetrize(rma_latency_);
+  return std::move(*this);
 }
 
 double TopologyProfile::distance(std::size_t i, std::size_t j) const {

@@ -81,9 +81,12 @@ class TopologyProfile {
   /// is relative to the matrix magnitude.
   bool is_symmetric(double relative_tolerance = 1e-9) const;
 
-  /// Replace O and L by their symmetric parts (arithmetic mean of the
-  /// two directions). Used before clustering, which needs a metric.
-  TopologyProfile symmetrized() const;
+  /// Replace O and L (and G, R when present) by their symmetric parts
+  /// (arithmetic mean of the two directions). Used before clustering,
+  /// which needs a metric. The rvalue overload averages in place, so
+  /// `restrict_to(ranks).symmetrized()` builds its matrices only once.
+  TopologyProfile symmetrized() const&;
+  TopologyProfile symmetrized() &&;
 
   /// Metric used for rank clustering (Section VII-A): the symmetrized
   /// one-message cost O(i,j); zero iff i == j for a valid profile.

@@ -113,17 +113,19 @@ void expect_same_tagging(const CompiledSchedule& patched,
   ASSERT_EQ(patched.stage_count(), fresh.stage_count());
   for (std::size_t s = 0; s < fresh.stage_count(); ++s) {
     for (std::size_t i = 0; i < fresh.ranks(); ++i) {
-      EXPECT_EQ(to_vector(patched.target_overhead(i, s)),
-                to_vector(fresh.target_overhead(i, s)));
-      EXPECT_EQ(to_vector(patched.target_rma_latency(i, s)),
-                to_vector(fresh.target_rma_latency(i, s)));
-      EXPECT_EQ(to_vector(patched.target_one_sided(i, s)),
-                to_vector(fresh.target_one_sided(i, s)));
-      EXPECT_EQ(to_vector(patched.source_one_sided(i, s)),
-                to_vector(fresh.source_one_sided(i, s)));
-      EXPECT_EQ(patched.batch_cost(i, s, false), fresh.batch_cost(i, s, false));
-      EXPECT_EQ(patched.batch_cost(i, s, true), fresh.batch_cost(i, s, true));
-      EXPECT_EQ(patched.recv_processing(i, s), fresh.recv_processing(i, s));
+      const std::size_t a = patched.row(i, s);
+      const std::size_t b = fresh.row(i, s);
+      EXPECT_EQ(to_vector(patched.target_overhead(a)),
+                to_vector(fresh.target_overhead(b)));
+      EXPECT_EQ(to_vector(patched.target_rma_latency(a)),
+                to_vector(fresh.target_rma_latency(b)));
+      EXPECT_EQ(to_vector(patched.target_one_sided(a)),
+                to_vector(fresh.target_one_sided(b)));
+      EXPECT_EQ(to_vector(patched.source_one_sided(a)),
+                to_vector(fresh.source_one_sided(b)));
+      EXPECT_EQ(patched.batch_cost(a, false), fresh.batch_cost(b, false));
+      EXPECT_EQ(patched.batch_cost(a, true), fresh.batch_cost(b, true));
+      EXPECT_EQ(patched.recv_processing(a), fresh.recv_processing(b));
     }
   }
 }
@@ -157,10 +159,10 @@ void check_patch_sequence(const Schedule& schedule,
   Prediction out;
   const auto patch = [&](std::size_t s, std::size_t i, std::size_t k,
                          bool put) {
-    const std::size_t degree = patched.targets(i, s).size();
+    const std::size_t degree = patched.targets(patched.row(i, s)).size();
     coverage.single_target_rows += degree == 1 ? 1 : 0;
     coverage.multi_target_rows += degree >= 2 ? 1 : 0;
-    tags[s](i, patched.targets(i, s)[k]) = put ? 1 : 0;
+    tags[s](i, patched.targets(patched.row(i, s))[k]) = put ? 1 : 0;
     patched.set_one_sided(s, i, k, put, profile);
     tagged.set_transport(s, tags[s]);
     fresh.compile(tagged, profile);
@@ -171,16 +173,16 @@ void check_patch_sequence(const Schedule& schedule,
   for (std::size_t step = 0; step < 12; ++step) {
     const std::size_t s = rng.next_below(schedule.stage_count());
     const std::size_t i = rng.next_below(p);
-    const std::size_t degree = patched.targets(i, s).size();
+    const std::size_t degree = patched.targets(patched.row(i, s)).size();
     if (degree > 0) {
       patch(s, i, rng.next_below(degree), rng.next_below(3) != 0);
     }
   }
   for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
     const std::size_t j = rng.next_below(p);
-    const std::span<const std::size_t> sources = patched.sources(j, s);
+    const auto sources = patched.sources(patched.row(j, s));
     for (const std::size_t i : sources) {
-      const std::span<const std::size_t> targets = patched.targets(i, s);
+      const auto targets = patched.targets(patched.row(i, s));
       const auto k = static_cast<std::size_t>(
           std::lower_bound(targets.begin(), targets.end(), j) -
           targets.begin());
@@ -259,22 +261,23 @@ TEST(CompiledPredict, SpanAccessorsMatchScheduleAdjacency) {
   ASSERT_EQ(compiled.stage_count(), schedule.stage_count());
   for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
     for (std::size_t i = 0; i < p; ++i) {
+      const std::size_t row = compiled.row(i, s);
       const std::vector<std::size_t> targets = schedule.targets_of(i, s);
-      const std::span<const std::size_t> span = compiled.targets(i, s);
+      const auto span = compiled.targets(row);
       ASSERT_EQ(std::vector<std::size_t>(span.begin(), span.end()), targets);
-      const std::span<const double> l = compiled.target_latency(i, s);
-      const std::span<const double> o = compiled.target_overhead(i, s);
+      const std::span<const double> l = compiled.target_latency(row);
+      const std::span<const double> o = compiled.target_overhead(row);
       ASSERT_EQ(l.size(), targets.size());
       for (std::size_t k = 0; k < targets.size(); ++k) {
         EXPECT_EQ(l[k], profile.l(i, targets[k]));
         EXPECT_EQ(o[k], profile.o(i, targets[k]));
       }
-      EXPECT_EQ(compiled.batch_cost(i, s, false),
+      EXPECT_EQ(compiled.batch_cost(row, false),
                 step_cost(profile, i, targets, false));
-      EXPECT_EQ(compiled.batch_cost(i, s, true),
+      EXPECT_EQ(compiled.batch_cost(row, true),
                 step_cost(profile, i, targets, true));
       const std::vector<std::size_t> sources = schedule.sources_of(i, s);
-      const std::span<const std::size_t> src = compiled.sources(i, s);
+      const auto src = compiled.sources(row);
       ASSERT_EQ(std::vector<std::size_t>(src.begin(), src.end()), sources);
     }
   }

@@ -374,16 +374,33 @@ std::string random_text(Format format, Rng& rng) {
   return {};
 }
 
+// Whether `text` is a plan store holding a reason that is exactly "-",
+// which the store writes as "\-" so it does not read back as "".
+bool escapes_dash_reason(Format format, const std::string& text) {
+  return format == Format::kPlanStore &&
+         text.find("\nreason \\-\n") != std::string::npos;
+}
+
 TEST(FormatOracle, SeededRoundTripsAgreeBitForBit) {
   Rng rng(20261019);
+  std::size_t dash_reasons = 0;
   for (Format format : fixtures::all_formats()) {
     std::size_t loaded = 0;
     for (int round = 0; round < 300; ++round) {
       const std::string text = random_text(format, rng);
       const Outcome want = load(format, text, /*oracle=*/true);
       const Outcome got = load(format, text, /*oracle=*/false);
-      ASSERT_EQ(got, want) << to_string(format) << " round " << round << ":\n"
-                           << text;
+      if (escapes_dash_reason(format, text)) {
+        // The one intended difference a saved artefact can show (see
+        // the token corpus): the oracle has no "\-" escape.
+        EXPECT_EQ(want.verdict, "IoError") << "round " << round;
+        EXPECT_EQ(got.verdict, "ok") << "round " << round;
+        ++dash_reasons;
+      } else {
+        ASSERT_EQ(got, want) << to_string(format) << " round " << round
+                             << ":\n"
+                             << text;
+      }
       if (got.verdict == "ok") {
         ++loaded;
         // What was saved re-saves to the same bytes.
@@ -394,6 +411,7 @@ TEST(FormatOracle, SeededRoundTripsAgreeBitForBit) {
     // artefacts must load or the comparison proves little.
     EXPECT_GT(loaded, 200u) << to_string(format);
   }
+  EXPECT_GT(dash_reasons, 0u);
 }
 
 // ---- where the grammars differ on purpose ----
@@ -484,6 +502,11 @@ std::vector<TokenCase> token_cases() {
       {"self-signal", Format::kSchedule,
        "optibar-schedule v1\nP 2\nstages 1\nawaited 0\nS0\n1 1\n0 0\n",
        "Error", "IoError"},
+      // A reason that is exactly "-" is saved escaped, since a bare
+      // "-" spells the empty reason; the oracle knows no "\-" escape.
+      {"escaped dash reason", Format::kPlanStore,
+       fixtures::tampered(store, "reason -", "reason \\-"), "IoError",
+       "ok"},
       {"stray one-sided edge", Format::kSchedule,
        "optibar-schedule v2\nP 2\nstages 1\nawaited 0\nS0\n0 1\n0 0\n"
        "T0\n0 0\n1 0\n",

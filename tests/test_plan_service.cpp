@@ -224,6 +224,33 @@ TEST(PlanService, StoreRoundTripPreservesPlansAndHealth) {
             std::string::npos);
   EXPECT_EQ(restarted.stats().tunes, 0u);
   std::filesystem::remove(path);
+
+  // Every reason reads back as written, including one that is exactly
+  // "-", the spelling of the empty reason; only that one is escaped.
+  const std::vector<std::pair<std::string, std::string>> reasons = {
+      {"", "-"},       {"-", "\\-"},      {"--", "--"},
+      {"\\-", "\\\\-"}, {"a-b", "a-b"}, {"-\n-", "-\\n-"}};
+  std::vector<PlanStoreRecord> records;
+  for (std::size_t k = 0; k < reasons.size(); ++k) {
+    PlanStoreRecord record;
+    record.subset = {k, k + 1};
+    record.state = PlanState::kQuarantined;
+    record.reason = reasons[k].first;
+    record.plan = {dissemination_barrier(2), {}};
+    records.push_back(record);
+  }
+  std::ostringstream os;
+  save_plan_store(os, 12, records);
+  for (const auto& [reason, line] : reasons) {
+    EXPECT_NE(os.str().find("\nreason " + line + "\n"), std::string::npos)
+        << line;
+  }
+  std::istringstream is(os.str());
+  const std::vector<PlanStoreRecord> loaded = load_plan_store(is, 12);
+  ASSERT_EQ(loaded.size(), reasons.size());
+  for (std::size_t k = 0; k < reasons.size(); ++k) {
+    EXPECT_EQ(loaded[k].reason, reasons[k].first) << k;
+  }
 }
 
 TEST(PlanService, LoadedQuarantineReenqueuesItsRepair) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -12,6 +14,7 @@
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace optibar {
 namespace {
@@ -175,6 +178,51 @@ TEST(Profile, RestrictRoundTripPinsAllFourMatrices) {
     for (std::size_t j = 0; j < 16; ++j) {
       EXPECT_DOUBLE_EQ(sym.g(i, j), 0.5 * (p.g(i, j) + p.g(j, i)));
       EXPECT_DOUBLE_EQ(sym.r(i, j), 0.5 * (p.r(i, j) + p.r(j, i)));
+    }
+  }
+}
+
+TEST(Profile, RvalueSymmetrizeMatchesConstBitForBit) {
+  // The in-place (rvalue) symmetrize must equal the copying one bit for
+  // bit, on all four planes, at sizes on and off its tile boundaries;
+  // both must be the plain pairwise mean with the diagonal untouched.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  Rng rng(86);
+  for (const std::size_t p : {1UL, 2UL, 15UL, 16UL, 17UL, 37UL, 64UL}) {
+    Matrix<double> o(p, p);
+    Matrix<double> l(p, p);
+    Matrix<double> g(p, p);
+    Matrix<double> r(p, p);
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t j = 0; j < p; ++j) {
+        o(i, j) = rng.uniform(-1e-5, 1e-4);
+        l(i, j) = rng.uniform(0.0, 1e-5);
+        g(i, j) = rng.uniform(0.0, 1e-9);
+        r(i, j) = rng.uniform(0.0, 2e-5);
+      }
+    }
+    TopologyProfile profile(std::move(o), std::move(l), std::move(g));
+    profile.set_rma_latency(std::move(r));
+    const TopologyProfile by_copy = profile.symmetrized();
+    const TopologyProfile in_place = TopologyProfile(profile).symmetrized();
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t j = 0; j < p; ++j) {
+        const auto mean = [&](double a, double b) {
+          return bits(i == j ? a : 0.5 * (a + b));
+        };
+        EXPECT_EQ(bits(in_place.o(i, j)), bits(by_copy.o(i, j)));
+        EXPECT_EQ(bits(in_place.l(i, j)), bits(by_copy.l(i, j)));
+        EXPECT_EQ(bits(in_place.g(i, j)), bits(by_copy.g(i, j)));
+        EXPECT_EQ(bits(in_place.r(i, j)), bits(by_copy.r(i, j)));
+        EXPECT_EQ(bits(in_place.o(i, j)),
+                  mean(profile.o(i, j), profile.o(j, i)));
+        EXPECT_EQ(bits(in_place.l(i, j)),
+                  mean(profile.l(i, j), profile.l(j, i)));
+        EXPECT_EQ(bits(in_place.g(i, j)),
+                  mean(profile.g(i, j), profile.g(j, i)));
+        EXPECT_EQ(bits(in_place.r(i, j)),
+                  mean(profile.r(i, j), profile.r(j, i)));
+      }
     }
   }
 }
