@@ -107,7 +107,7 @@ void BM_IncrementalAppend(benchmark::State& state) {
   const Workload w = workload_for(p, false);
   IncrementalPredictor predictor(w.profile);
   const Schedule tree = tree_barrier(p);
-  const StageMatrix& stage = tree.stage(0);
+  const Stage& stage = tree.stage(0);
   for (auto _ : state) {
     predictor.push_stage(stage);
     benchmark::DoNotOptimize(predictor.max_ready());

@@ -86,7 +86,7 @@ Schedule tagged_dissemination(std::size_t p, int row) {
   Schedule schedule = dissemination_barrier(p);
   for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
     if (row == kOneSidedRow || (row == kHybridRow && s % 2 == 0)) {
-      schedule.set_transport(s, schedule.stage(s));
+      schedule.set_all_one_sided(s, true);
     }
   }
   return schedule;

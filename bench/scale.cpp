@@ -7,7 +7,7 @@
 // stage). Counters record exact model memory so BENCH_scale.json shows
 // the sub-quadratic footprint directly:
 //   mem_profile_bytes — cost-model storage (dense matrices vs tiles)
-//   mem_plan_bytes    — schedule storage (dense stages vs blocked form)
+//   mem_plan_bytes    — schedule storage (flat edge lists vs blocked form)
 //   mem_compiled_bytes — the compiled 10k plan the predictor and netsim
 //                       read (CompiledSchedule::memory_bytes)
 //   events_per_second — netsim throughput on the compiled 10k schedule
@@ -46,12 +46,10 @@ double dense_profile_bytes(const TopologyProfile& profile) {
   return cells * planes * static_cast<double>(sizeof(double));
 }
 
-// A dense Schedule stores one P x P BoolMatrix (uint8_t cells) per stage.
-double dense_plan_bytes(const Schedule& schedule) {
-  return static_cast<double>(schedule.stage_count()) *
-         static_cast<double>(schedule.ranks()) *
-         static_cast<double>(schedule.ranks()) *
-         static_cast<double>(sizeof(std::uint8_t));
+// A Schedule stores each stage as its sorted signals.
+double flat_plan_bytes(const Schedule& schedule) {
+  return static_cast<double>(schedule.total_signals() * sizeof(Signal) +
+                             schedule.stage_count() * sizeof(Stage));
 }
 
 // Full dense pipeline: P x P synthetic profile is built once (profiling
@@ -64,7 +62,7 @@ void BM_DenseTunePipeline(benchmark::State& state) {
   double plan_bytes = 0.0;
   for (auto _ : state) {
     const TuneResult result = tune_barrier(profile);
-    plan_bytes = dense_plan_bytes(result.schedule());
+    plan_bytes = flat_plan_bytes(result.schedule());
     benchmark::DoNotOptimize(plan_bytes);
   }
   state.counters["mem_profile_bytes"] = dense_profile_bytes(profile);

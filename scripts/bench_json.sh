@@ -13,13 +13,16 @@
 #                           tiled 10240-rank profile); five interleaved
 #                           repetitions, as for BENCH_rma.json below
 #   BENCH_collective.json — bench_collective (collective tuning on hex,
-#                           payload-aware predict/compile/sim throughput)
+#                           payload-aware predict/compile/sim throughput);
+#                           five interleaved repetitions
 #   BENCH_runtime.json    — bench_thread_runtime (episode throughput:
 #                           spawn vs pooled ranks x global vs sharded
-#                           message board, P = 16/48/120)
+#                           message board, P = 16/48/120); five
+#                           interleaved repetitions
 #   BENCH_overlap.json    — bench_overlap (episode throughput with
 #                           per-rank compute overlapped through the
-#                           post/test/wait lifecycle, ratio 0/50/100%)
+#                           post/test/wait lifecycle, ratio 0/50/100%);
+#                           five interleaved repetitions
 #   BENCH_netsim.json     — bench_netsim (simulated events/sec: event-
 #                           heap engine vs reference, P = 120/1000 x
 #                           dissemination/heap-tree/radix-4 families);
@@ -40,7 +43,8 @@
 #   BENCH_service.json    — bench_service (plan-service mixed soak: 1M
 #                           ops across 4 clients with the background
 #                           repair worker live; ops_per_second gated,
-#                           p50/p99 committed for trajectory)
+#                           p50/p99 committed for trajectory); five
+#                           interleaved repetitions
 #   BENCH_scale.json      — bench_scale (tune/predict/simulate scaling
 #                           to 10240 ranks: dense pipeline vs tiled
 #                           hierarchical, with exact model-memory
@@ -81,13 +85,17 @@ run bench_predict_throughput BENCH_predict.json --benchmark_repetitions=5 \
     --benchmark_enable_random_interleaving=true
 run bench_tuning_speed BENCH_tuning.json --benchmark_repetitions=5 \
     --benchmark_enable_random_interleaving=true
-run bench_collective BENCH_collective.json
-run bench_thread_runtime BENCH_runtime.json
-run bench_overlap BENCH_overlap.json
+run bench_collective BENCH_collective.json --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true
+run bench_thread_runtime BENCH_runtime.json --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true
+run bench_overlap BENCH_overlap.json --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true
 run bench_netsim BENCH_netsim.json --benchmark_repetitions=5 \
     --benchmark_enable_random_interleaving=true
 run bench_rma BENCH_rma.json --benchmark_repetitions=5 \
     --benchmark_enable_random_interleaving=true
-run bench_service BENCH_service.json
+run bench_service BENCH_service.json --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true
 run bench_scale BENCH_scale.json --benchmark_repetitions=5 \
     --benchmark_enable_random_interleaving=true

@@ -24,7 +24,10 @@ std::size_t floor_pow2(std::size_t n) {
   return v;
 }
 
-StageMatrix empty_stage(std::size_t p) { return StageMatrix(p, p, 0); }
+/// The signal i -> j, two-sided.
+Signal signal(std::size_t i, std::size_t j) {
+  return Signal{static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)};
+}
 
 }  // namespace
 
@@ -56,9 +59,9 @@ Schedule linear_arrival(std::size_t ranks) {
   if (ranks == 1) {
     return s;
   }
-  StageMatrix gather = empty_stage(ranks);
+  Stage gather;
   for (std::size_t i = 1; i < ranks; ++i) {
-    gather(i, 0) = 1;
+    gather.push_back(signal(i, 0));
   }
   s.append_stage(std::move(gather));
   return s;
@@ -74,10 +77,10 @@ Schedule dissemination_arrival(std::size_t ranks) {
   Schedule s(ranks);
   const std::size_t stages = ceil_log2(ranks);
   for (std::size_t st = 0; st < stages; ++st) {
-    StageMatrix m = empty_stage(ranks);
+    Stage m;
     const std::size_t offset = std::size_t{1} << st;
     for (std::size_t i = 0; i < ranks; ++i) {
-      m(i, (i + offset) % ranks) = 1;
+      m.push_back(signal(i, (i + offset) % ranks));
     }
     s.append_stage(std::move(m));
   }
@@ -93,13 +96,13 @@ Schedule tree_arrival(std::size_t ranks) {
   Schedule s(ranks);
   const std::size_t stages = ceil_log2(ranks);
   for (std::size_t st = 0; st < stages; ++st) {
-    StageMatrix m = empty_stage(ranks);
+    Stage m;
     const std::size_t half = std::size_t{1} << st;
     const std::size_t full = half << 1;
     for (std::size_t i = half; i < ranks; i += full) {
       // Senders are the ranks whose index is an odd multiple of 2^st;
       // they fold into the even multiple below them (recursive pairing).
-      m(i, i - half) = 1;
+      m.push_back(signal(i, i - half));
     }
     s.append_stage(std::move(m));
   }
@@ -127,10 +130,10 @@ Schedule kary_tree_arrival(std::size_t ranks, std::size_t arity) {
   }
   // Deepest level signals first so parents accumulate complete subtrees.
   for (std::size_t d = max_depth; d >= 1; --d) {
-    StageMatrix m = empty_stage(ranks);
+    Stage m;
     for (std::size_t i = 1; i < ranks; ++i) {
       if (depth[i] == d) {
-        m(i, (i - 1) / arity) = 1;
+        m.push_back(signal(i, (i - 1) / arity));
       }
     }
     s.append_stage(std::move(m));
@@ -160,25 +163,25 @@ Schedule pairwise_exchange_arrival(std::size_t ranks) {
   const std::size_t m = floor_pow2(ranks);
   // Fold the excess ranks [m, ranks) into their partners below.
   if (ranks > m) {
-    StageMatrix fold = empty_stage(ranks);
+    Stage fold;
     for (std::size_t i = m; i < ranks; ++i) {
-      fold(i, i - m) = 1;
+      fold.push_back(signal(i, i - m));
     }
     s.append_stage(std::move(fold));
   }
   // Symmetric exchange among the power-of-two subset.
   for (std::size_t bit = 1; bit < m; bit <<= 1) {
-    StageMatrix x = empty_stage(ranks);
+    Stage x;
     for (std::size_t i = 0; i < m; ++i) {
-      x(i, i ^ bit) = 1;
+      x.push_back(signal(i, i ^ bit));
     }
     s.append_stage(std::move(x));
   }
   // Unfold: release the excess ranks.
   if (ranks > m) {
-    StageMatrix unfold = empty_stage(ranks);
+    Stage unfold;
     for (std::size_t i = m; i < ranks; ++i) {
-      unfold(i - m, i) = 1;
+      unfold.push_back(signal(i - m, i));
     }
     s.append_stage(std::move(unfold));
   }
@@ -209,16 +212,17 @@ Schedule radix_dissemination_arrival(std::size_t ranks, std::size_t radix) {
   }
   power = 1;
   for (std::size_t st = 0; st < stages; ++st) {
-    StageMatrix m = empty_stage(ranks);
+    Stage m;
     for (std::size_t j = 1; j < radix; ++j) {
       const std::size_t offset = (j * power) % ranks;
       if (offset == 0) {
         continue;  // a whole-ring hop is a no-op
       }
       for (std::size_t i = 0; i < ranks; ++i) {
-        m(i, (i + offset) % ranks) = 1;
+        m.push_back(signal(i, (i + offset) % ranks));
       }
     }
+    normalize_stage(m);  // offsets coinciding mod P signal once
     s.append_stage(std::move(m));
     power *= radix;
   }
@@ -235,10 +239,8 @@ Schedule ring_arrival(std::size_t ranks) {
   // Token descends P-1 -> ... -> 0 so knowledge funnels into rank 0,
   // matching the convention of the other hierarchical arrival phases.
   for (std::size_t st = 0; st + 1 < ranks; ++st) {
-    StageMatrix m = empty_stage(ranks);
     const std::size_t sender = ranks - 1 - st;
-    m(sender, sender - 1) = 1;
-    s.append_stage(std::move(m));
+    s.append_stage({signal(sender, sender - 1)});
   }
   return s;
 }

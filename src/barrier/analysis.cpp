@@ -34,14 +34,10 @@ LinkUsage link_usage(const Schedule& schedule, const MachineSpec& machine,
                   "mapping covers " << mapping.size() << " ranks, schedule "
                                     << schedule.ranks());
   LinkUsage usage;
-  for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-    const StageMatrix& stage = schedule.stage(s);
-    for (std::size_t i = 0; i < schedule.ranks(); ++i) {
-      for (std::size_t j = 0; j < schedule.ranks(); ++j) {
-        if (stage(i, j)) {
-          ++usage.at(machine.link_level(mapping.core_of(i), mapping.core_of(j)));
-        }
-      }
+  for (const Stage& stage : schedule.stages()) {
+    for (const Signal& signal : stage) {
+      ++usage.at(machine.link_level(mapping.core_of(signal.src),
+                                    mapping.core_of(signal.dst)));
     }
   }
   return usage;
@@ -53,24 +49,24 @@ StageProfile profile_one_stage(const Schedule& schedule, std::size_t s,
                                const MachineSpec* machine,
                                const Mapping* mapping) {
   StageProfile out;
-  const std::size_t p = schedule.ranks();
-  std::vector<std::size_t> fan_in(p, 0);
-  for (std::size_t i = 0; i < p; ++i) {
-    const std::vector<std::size_t> targets = schedule.targets_of(i, s);
-    out.signals += targets.size();
-    out.max_fan_out = std::max(out.max_fan_out, targets.size());
-    for (std::size_t j : targets) {
-      ++fan_in[j];
-      if (machine != nullptr &&
-          machine->link_level(mapping->core_of(i), mapping->core_of(j)) ==
-              LinkLevel::kInterNode) {
-        ++out.inter_node_signals;
-      }
+  const Stage& stage = schedule.stage(s);
+  std::vector<std::size_t> fan_out(schedule.ranks(), 0);
+  std::vector<std::size_t> fan_in(schedule.ranks(), 0);
+  out.signals = stage.size();
+  for (const Signal& signal : stage) {
+    ++fan_out[signal.src];
+    ++fan_in[signal.dst];
+    if (machine != nullptr &&
+        machine->link_level(mapping->core_of(signal.src),
+                            mapping->core_of(signal.dst)) ==
+            LinkLevel::kInterNode) {
+      ++out.inter_node_signals;
     }
   }
-  for (std::size_t i = 0; i < p; ++i) {
+  for (std::size_t i = 0; i < schedule.ranks(); ++i) {
+    out.max_fan_out = std::max(out.max_fan_out, fan_out[i]);
     out.max_fan_in = std::max(out.max_fan_in, fan_in[i]);
-    if (fan_in[i] > 0 || !schedule.targets_of(i, s).empty()) {
+    if (fan_in[i] > 0 || fan_out[i] > 0) {
       ++out.active_ranks;
     }
   }
@@ -172,14 +168,9 @@ LinkUsage link_usage(const Schedule& schedule, const CustomMachine& machine) {
   OPTIBAR_REQUIRE(schedule.ranks() <= machine.total_cores(),
                   "schedule has more ranks than the machine has cores");
   LinkUsage usage;
-  for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-    const StageMatrix& stage = schedule.stage(s);
-    for (std::size_t i = 0; i < schedule.ranks(); ++i) {
-      for (std::size_t j = 0; j < schedule.ranks(); ++j) {
-        if (stage(i, j)) {
-          ++usage.at(machine.link_level(i, j));
-        }
-      }
+  for (const Stage& stage : schedule.stages()) {
+    for (const Signal& signal : stage) {
+      ++usage.at(machine.link_level(signal.src, signal.dst));
     }
   }
   return usage;
@@ -212,11 +203,10 @@ std::string describe_usage(const Schedule& schedule,
   // only, with the inter-node count folded in per stage.
   auto stages = stage_profiles(schedule);
   for (std::size_t s = 0; s < stages.size(); ++s) {
-    for (std::size_t i = 0; i < schedule.ranks(); ++i) {
-      for (std::size_t j : schedule.targets_of(i, s)) {
-        if (machine.link_level(i, j) == LinkLevel::kInterNode) {
-          ++stages[s].inter_node_signals;
-        }
+    for (const Signal& signal : schedule.stage(s)) {
+      if (machine.link_level(signal.src, signal.dst) ==
+          LinkLevel::kInterNode) {
+        ++stages[s].inter_node_signals;
       }
     }
   }

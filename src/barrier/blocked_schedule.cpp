@@ -3,25 +3,6 @@
 #include "barrier/validate.hpp"
 
 namespace optibar {
-namespace {
-
-/// Extract the (src, dst) pairs of one stage matrix in ascending scan
-/// order — the same order a dense compile() walks them.
-std::vector<std::pair<std::uint32_t, std::uint32_t>> stage_edge_list(
-    const StageMatrix& stage) {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  for (std::size_t i = 0; i < stage.rows(); ++i) {
-    for (std::size_t j = 0; j < stage.cols(); ++j) {
-      if (stage(i, j)) {
-        edges.emplace_back(static_cast<std::uint32_t>(i),
-                           static_cast<std::uint32_t>(j));
-      }
-    }
-  }
-  return edges;
-}
-
-}  // namespace
 
 BlockedSchedule::BlockedSchedule(
     std::vector<std::vector<std::size_t>> clusters,
@@ -68,26 +49,13 @@ BlockedSchedule::BlockedSchedule(
     }
   }
 
-  // Precompute per-class and leader edge lists.
-  class_edges_.resize(k);
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    class_edges_[kk].reserve(class_arrivals_[kk].stage_count());
-    for (std::size_t s = 0; s < class_arrivals_[kk].stage_count(); ++s) {
-      class_edges_[kk].push_back(stage_edge_list(class_arrivals_[kk].stage(s)));
-    }
-  }
-  leader_edges_.reserve(leader_arrival_.stage_count());
-  for (std::size_t s = 0; s < leader_arrival_.stage_count(); ++s) {
-    leader_edges_.push_back(stage_edge_list(leader_arrival_.stage(s)));
-  }
-
   // Global stage plan, mirroring compose_barrier(): all cluster blocks
   // start at stage 0, the leader block after the longest class
   // (merge-early), then the reversed transposed arrival with the leader
   // block omitted when self-completing, then compaction.
   leader_start_ = 0;
-  for (const auto& stages : class_edges_) {
-    leader_start_ = std::max(leader_start_, stages.size());
+  for (const Schedule& arrival : class_arrivals_) {
+    leader_start_ = std::max(leader_start_, arrival.stage_count());
   }
   const std::size_t arrival_total =
       leader_start_ + leader_arrival_.stage_count();
@@ -133,18 +101,15 @@ BlockedSchedule::BlockedSchedule(
 
 bool BlockedSchedule::stage_is_empty(const BlockedStageRef& ref) const {
   if (ref.local_stage != kNoBlockStage) {
-    for (const auto& stages : class_edges_) {
-      if (ref.local_stage < stages.size() &&
-          !stages[ref.local_stage].empty()) {
+    for (const Schedule& arrival : class_arrivals_) {
+      if (ref.local_stage < arrival.stage_count() &&
+          !arrival.stage(ref.local_stage).empty()) {
         return false;
       }
     }
   }
-  if (ref.leader_stage != kNoBlockStage &&
-      !leader_edges_[ref.leader_stage].empty()) {
-    return false;
-  }
-  return true;
+  return ref.leader_stage == kNoBlockStage ||
+         leader_arrival_.stage(ref.leader_stage).empty();
 }
 
 bool BlockedSchedule::stage_has_cycle_blocked(
@@ -155,16 +120,14 @@ bool BlockedSchedule::stage_has_cycle_blocked(
   if (ref.local_stage != kNoBlockStage) {
     for (const Schedule& arrival : class_arrivals_) {
       if (ref.local_stage < arrival.stage_count() &&
-          stage_has_cycle(arrival.stage(ref.local_stage))) {
+          stage_has_cycle(arrival.stage(ref.local_stage), arrival.ranks())) {
         return true;
       }
     }
   }
-  if (ref.leader_stage != kNoBlockStage &&
-      stage_has_cycle(leader_arrival_.stage(ref.leader_stage))) {
-    return true;
-  }
-  return false;
+  return ref.leader_stage != kNoBlockStage &&
+         stage_has_cycle(leader_arrival_.stage(ref.leader_stage),
+                         leader_arrival_.ranks());
 }
 
 std::size_t BlockedSchedule::total_signals() const {
@@ -183,38 +146,30 @@ std::size_t BlockedSchedule::memory_bytes() const {
   bytes += class_of_.size() * sizeof(std::size_t);
   bytes += leader_ranks_.size() * sizeof(std::size_t);
   auto schedule_bytes = [](const Schedule& schedule) {
-    return schedule.stage_count() * schedule.ranks() * schedule.ranks() *
-           sizeof(std::uint8_t);
+    return schedule.total_signals() * sizeof(Signal) +
+           schedule.stage_count() * sizeof(Stage);
   };
   for (const Schedule& arrival : class_arrivals_) {
     bytes += schedule_bytes(arrival);
   }
   bytes += schedule_bytes(leader_arrival_);
-  for (const auto& stages : class_edges_) {
-    for (const auto& edges : stages) {
-      bytes += edges.size() * sizeof(Edge);
-    }
-  }
-  for (const auto& edges : leader_edges_) {
-    bytes += edges.size() * sizeof(Edge);
-  }
   bytes += stage_refs_.size() * sizeof(BlockedStageRef);
   bytes += awaited_.size() / 8 + 1;
   return bytes;
 }
 
 Schedule BlockedSchedule::to_dense() const {
-  OPTIBAR_REQUIRE(ranks_ <= 8192,
-                  "refusing to densify a " << ranks_ << "-rank blocked plan");
-  Schedule dense(ranks_);
+  Schedule flat(ranks_);
   for (std::size_t s = 0; s < stage_count(); ++s) {
-    StageMatrix stage(ranks_, ranks_);
+    Stage stage;
     for_each_edge(s, [&](std::size_t src, std::size_t dst) {
-      stage(src, dst) = 1;
+      stage.push_back(Signal{static_cast<std::uint32_t>(src),
+                             static_cast<std::uint32_t>(dst)});
     });
-    dense.append_stage(std::move(stage));
+    normalize_stage(stage);
+    flat.append_stage(std::move(stage));
   }
-  return dense;
+  return flat;
 }
 
 }  // namespace optibar

@@ -1,11 +1,11 @@
 // Blocked schedule representation: a composed hierarchical plan that
-// never materializes dense P x P stage matrices.
+// never materializes its P-rank stages.
 //
 // A hierarchically tuned barrier over C clusters of a few classes is
 // enormously redundant in dense form: every cluster of a class runs the
 // same local sub-schedule (translated to its own ranks), and the leader
-// stage touches only C ranks. At P = 10240 a dense Schedule would carry
-// ~20 stages of 100M-entry BoolMatrix each; the blocked form stores
+// stage touches only C ranks. A flat Schedule of the 10240-rank plan
+// would list all ~22000 of its signals; the blocked form stores
 //
 //   - one local arrival Schedule per cluster CLASS (tile-local ranks),
 //   - one leader arrival Schedule over the C cluster leaders,
@@ -23,7 +23,8 @@
 // the awaited flags therefore round-trip into a plain Schedule the
 // validator and executors accept — and compile_blocked() feeds the
 // compiled CSR predictor and the netsim engine directly, bit-identical
-// to compiling the densified schedule.
+// to compiling that flat schedule. Stage blocks are read straight from
+// the arrivals' own sorted signals; no edge list is copied.
 #pragma once
 
 #include <algorithm>
@@ -117,39 +118,38 @@ class BlockedSchedule {
     const BlockedStageRef& ref = stage_refs_[s];
     if (ref.local_stage != kNoBlockStage) {
       for (std::size_t c = 0; c < clusters_.size(); ++c) {
-        const std::size_t k = class_of_[c];
-        if (ref.local_stage >= class_edges_[k].size()) {
+        const Schedule& arrival = class_arrivals_[class_of_[c]];
+        if (ref.local_stage >= arrival.stage_count()) {
           continue;
         }
         const auto& members = clusters_[c];
-        for (const auto& [i, j] : class_edges_[k][ref.local_stage]) {
+        for (const Signal& signal : arrival.stage(ref.local_stage)) {
           if (ref.transposed) {
-            fn(members[j], members[i]);
+            fn(members[signal.dst], members[signal.src]);
           } else {
-            fn(members[i], members[j]);
+            fn(members[signal.src], members[signal.dst]);
           }
         }
       }
     }
     if (ref.leader_stage != kNoBlockStage) {
-      for (const auto& [i, j] : leader_edges_[ref.leader_stage]) {
+      for (const Signal& signal : leader_arrival_.stage(ref.leader_stage)) {
         if (ref.transposed) {
-          fn(leader_ranks_[j], leader_ranks_[i]);
+          fn(leader_ranks_[signal.dst], leader_ranks_[signal.src]);
         } else {
-          fn(leader_ranks_[i], leader_ranks_[j]);
+          fn(leader_ranks_[signal.src], leader_ranks_[signal.dst]);
         }
       }
     }
   }
 
-  /// Materialize the dense Schedule (guarded; small-P interop and
-  /// parity tests only). Stage order and contents match the compacted
-  /// blocked stages one to one, so awaited_stages() applies unchanged.
+  /// Materialize the flat Schedule, O(signals) (interop: the validator,
+  /// the v1/v2 text format, parity tests). Stage order and contents
+  /// match the compacted blocked stages one to one, so awaited_stages()
+  /// applies unchanged.
   Schedule to_dense() const;
 
  private:
-  using Edge = std::pair<std::uint32_t, std::uint32_t>;
-
   bool stage_is_empty(const BlockedStageRef& ref) const;
   bool stage_has_cycle_blocked(const BlockedStageRef& ref) const;
 
@@ -161,16 +161,13 @@ class BlockedSchedule {
   std::vector<std::size_t> leader_ranks_;
   bool leader_self_completing_ = false;
   std::size_t leader_start_ = 0;
-  /// class -> stage -> local (src, dst) pairs in ascending scan order.
-  std::vector<std::vector<std::vector<Edge>>> class_edges_;
-  std::vector<std::vector<Edge>> leader_edges_;
   std::vector<BlockedStageRef> stage_refs_;
   std::vector<bool> awaited_;
   std::size_t arrival_stages_ = 0;
 };
 
 /// Compile a blocked plan straight into the CSR predictor form without
-/// ever building a dense stage matrix. `Costs` needs o(i, j), l(i, j)
+/// ever building the flat schedule. `Costs` needs o(i, j), l(i, j)
 /// and ranks() — both TopologyProfile and TiledProfile qualify. All
 /// edges are priced two-sided; per-stage edge lists are put in (src,
 /// dst) order, so the result is bit-identical to compiling

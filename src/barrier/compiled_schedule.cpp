@@ -1,7 +1,6 @@
 #include "barrier/compiled_schedule.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/error.hpp"
 
@@ -114,39 +113,20 @@ void CompiledSchedule::compile(const Schedule& schedule,
   for (std::size_t i = 0; i < p_; ++i) {
     self_o_[i] = profile.o(i, i);
   }
-  for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-    const StageMatrix& m = schedule.stage(s);
-    const StageMatrix& t = schedule.transport(s);
-    const bool mixed = !t.empty();
+  for (const Stage& stage : schedule.stages()) {
     const std::size_t first_edge = tgt_index_.size();
     edge_src_.clear();
-    // One row-by-row read of the stage matrix, in the ascending-j order
-    // of Schedule::targets_of; all-zero runs of eight cells are skipped
-    // a word at a time.
-    for (std::size_t i = 0; i < p_; ++i) {
-      const std::uint8_t* const cells = &m.at_unchecked(i, 0);
-      for (std::size_t j = 0; j < p_; ++j) {
-        if (j % 8 == 0 && j + 8 <= p_) {
-          std::uint64_t word = 0;
-          std::memcpy(&word, cells + j, sizeof word);
-          if (word == 0) {
-            j += 7;
-            continue;
-          }
-        }
-        if (!cells[j]) {
-          continue;
-        }
-        const bool put = mixed && t.at_unchecked(i, j);
-        // A put needs only local initiation (O(i,i)) — no rendezvous
-        // with the receiver — and delivers after R(i,j).
-        tgt_index_.push_back(static_cast<Rank>(j));
-        tgt_l_.push_back(profile.l(i, j));
-        tgt_o_.push_back(put ? profile.o(i, i) : profile.o(i, j));
-        tgt_r_.push_back(put ? profile.r(i, j) : 0.0);
-        tgt_rma_.push_back(put ? 1 : 0);
-        edge_src_.push_back(static_cast<Rank>(i));
-      }
+    // The signals ascend by (src, dst), the order of
+    // Schedule::targets_of per sender.
+    for (const Signal& signal : stage) {
+      const std::size_t i = signal.src;
+      const std::size_t j = signal.dst;
+      // A put needs only local initiation (O(i,i)) — no rendezvous
+      // with the receiver — and delivers after R(i,j).
+      const bool put = signal.one_sided;
+      add_edge(signal.src, signal.dst, profile.l(i, j),
+               put ? profile.o(i, i) : profile.o(i, j), put,
+               put ? profile.r(i, j) : 0.0);
     }
     finish_stage(first_edge);
   }
@@ -176,20 +156,6 @@ void CompiledSchedule::reserve(std::size_t ranks, std::size_t stages,
   fill_.reserve(std::min(ranks, 2 * edges));
 }
 
-void CompiledSchedule::compile_edges(
-    std::size_t ranks, const std::vector<std::vector<CompiledEdge>>& stage_edges,
-    const std::vector<double>& self_overhead) {
-  std::size_t signals = 0;
-  for (const std::vector<CompiledEdge>& edges : stage_edges) {
-    signals += edges.size();
-  }
-  reserve(ranks, stage_edges.size(), signals);
-  start_edges(ranks, self_overhead);
-  for (const std::vector<CompiledEdge>& edges : stage_edges) {
-    append_stage(edges);
-  }
-}
-
 void CompiledSchedule::start_edges(std::size_t ranks,
                                    std::span<const double> self_overhead) {
   OPTIBAR_REQUIRE(ranks > 0, "compile_edges with zero ranks");
@@ -211,14 +177,20 @@ void CompiledSchedule::append_stage(std::span<const CompiledEdge> edges) {
                         (edges[k - 1].src == e.src && edges[k - 1].dst < e.dst),
                     "stage edges must be sorted by (src, dst) without "
                     "duplicates");
-    tgt_index_.push_back(static_cast<Rank>(e.dst));
-    tgt_l_.push_back(e.l);
-    tgt_o_.push_back(e.o);
-    tgt_r_.push_back(e.one_sided ? e.r : 0.0);
-    tgt_rma_.push_back(e.one_sided ? 1 : 0);
-    edge_src_.push_back(static_cast<Rank>(e.src));
+    add_edge(static_cast<Rank>(e.src), static_cast<Rank>(e.dst), e.l, e.o,
+             e.one_sided, e.one_sided ? e.r : 0.0);
   }
   finish_stage(first_edge);
+}
+
+void CompiledSchedule::add_edge(Rank src, Rank dst, double l, double o,
+                                bool put, double r) {
+  tgt_index_.push_back(dst);
+  tgt_l_.push_back(l);
+  tgt_o_.push_back(o);
+  tgt_r_.push_back(r);
+  tgt_rma_.push_back(put ? 1 : 0);
+  edge_src_.push_back(src);
 }
 
 std::size_t CompiledSchedule::memory_bytes() const {
@@ -450,9 +422,7 @@ double IncrementalPredictor::max_ready() const {
   return *std::max_element(r.begin(), r.end());
 }
 
-void IncrementalPredictor::push_stage(const StageMatrix& stage, bool awaited) {
-  OPTIBAR_REQUIRE(stage.rows() == p_ && stage.cols() == p_,
-                  "stage must be " << p_ << "x" << p_);
+void IncrementalPredictor::push_stage(const Stage& stage, bool awaited) {
   if (stack_.size() <= depth_ + 1) {
     stack_.emplace_back(p_, 0.0);  // pooled slot, reused after pops
   }
@@ -461,41 +431,35 @@ void IncrementalPredictor::push_stage(const StageMatrix& stage, bool awaited) {
 
   // Same recurrence as predict(): Eq. 1/2 batch completion per sender
   // (L summed over ascending targets, exactly step_cost's order)...
-  for (std::size_t i = 0; i < p_; ++i) {
+  batch_.assign(p_, 0.0);
+  for (std::size_t k = 0; k < stage.size();) {
+    const std::size_t i = stage[k].src;
+    OPTIBAR_REQUIRE(i < p_ && stage[k].dst < p_,
+                    "signal out of range for " << p_ << " ranks");
     double sum_l = 0.0;
     double max_o = 0.0;
-    bool any = false;
-    for (std::size_t j = 0; j < p_; ++j) {
-      if (!stage.at_unchecked(i, j)) {
-        continue;
-      }
-      any = true;
-      sum_l += profile_->l(i, j);
-      max_o = std::max(max_o, profile_->o(i, j));
+    for (; k < stage.size() && stage[k].src == i; ++k) {
+      sum_l += profile_->l(i, stage[k].dst);
+      max_o = std::max(max_o, profile_->o(i, stage[k].dst));
     }
-    const double cost =
-        any ? (awaited ? profile_->o(i, i) : max_o) + sum_l : 0.0;
-    batch_[i] = ready[i] + cost;
+    batch_[i] = (awaited ? profile_->o(i, i) : max_o) + sum_l;
+  }
+  for (std::size_t i = 0; i < p_; ++i) {
+    batch_[i] += ready[i];
     next[i] = batch_[i];
   }
   // ...then receivers wait for every incoming batch...
-  for (std::size_t i = 0; i < p_; ++i) {
-    for (std::size_t j = 0; j < p_; ++j) {
-      if (stage.at_unchecked(i, j)) {
-        next[j] = std::max(next[j], batch_[i]);
-      }
-    }
+  for (const Signal& signal : stage) {
+    next[signal.dst] = std::max(next[signal.dst], batch_[signal.src]);
   }
   // ...plus serial completion processing (ascending sources).
   if (receiver_processing_) {
+    processing_.assign(p_, 0.0);
+    for (const Signal& signal : stage) {
+      processing_[signal.dst] += profile_->l(signal.src, signal.dst);
+    }
     for (std::size_t j = 0; j < p_; ++j) {
-      double processing = 0.0;
-      for (std::size_t i = 0; i < p_; ++i) {
-        if (stage.at_unchecked(i, j)) {
-          processing += profile_->l(i, j);
-        }
-      }
-      next[j] += processing;
+      next[j] += processing_[j];
     }
   }
   ++depth_;

@@ -4,7 +4,8 @@
 // every composer candidate, search node, optimizer sweep and re-tune
 // decision funnels through it. The reference implementation re-derives
 // the adjacency of every stage on every call (targets_of/sources_of
-// allocate a fresh vector per rank per stage) and recomputes the Eq. 1/2
+// search the stage's signals and allocate a fresh vector per rank per
+// stage) and recomputes the Eq. 1/2
 // batch terms from the O/L matrices each time. This header factors that
 // work into a compile-once/evaluate-many representation:
 //
@@ -44,8 +45,9 @@
 // stores 256 rows instead of 10240.
 //
 // Compilation is one O(signals + P) pass per stage: the targets arrive
-// in (sender, target) order (compile() reads each stage matrix once,
-// row by row), the stage's row-id slice first counts in-degrees, one
+// in (sender, target) order (compile() walks each stage's sorted
+// signals, append_stage() its sorted edges), the stage's row-id slice
+// first counts in-degrees, one
 // walk over the ranks creates the rows, and a stable counting sort by
 // receiver scatters the sources. Stability is what keeps bit identity:
 // edges are scattered in (sender, target) order, so each receiver's
@@ -78,7 +80,7 @@
 
 namespace optibar {
 
-/// One directed edge with explicit per-edge costs, for compile_edges().
+/// One directed edge with explicit per-edge costs, for append_stage().
 /// Callers that price more than the plain O/L matrices (e.g. the
 /// collective layer's L + bytes * G bandwidth term) pre-compute the
 /// costs; the compiled evaluation is oblivious to where they came from.
@@ -108,26 +110,22 @@ class CompiledSchedule {
   /// (grow-only; no allocation once capacities are warm).
   void compile(const Schedule& schedule, const TopologyProfile& profile);
 
-  /// Rebind to an explicit edge list with caller-supplied per-edge
-  /// costs. `stage_edges[s]` must be sorted by (src, dst) with no
-  /// duplicates and no self edges; `self_overhead[i]` supplies O(i,i).
-  /// Accumulation order matches compile() (targets ascending per
-  /// sender, sources ascending per receiver), so an edge list derived
-  /// from a Schedule with l = L(i,j) and o = O(i,j) evaluates
-  /// bit-identically to compiling that Schedule directly.
-  void compile_edges(std::size_t ranks,
-                     const std::vector<std::vector<CompiledEdge>>& stage_edges,
-                     const std::vector<double>& self_overhead);
-
   /// Size the storage for `stages` stages holding `edges` signals over
   /// `ranks` ranks, so that compiling such a plan allocates each array
-  /// once. Optional; compile_edges() and compile_blocked() call it.
+  /// once. Optional; compile_blocked() and the collective layer call
+  /// it (compile() keeps the grow-only capacity of a reused kernel).
   void reserve(std::size_t ranks, std::size_t stages, std::size_t edges);
 
-  /// compile_edges() one stage at a time, for callers that generate
+  /// Rebind to explicit edge lists with caller-supplied per-edge costs,
+  /// one stage at a time, for callers that price more than the plain
+  /// O/L matrices (the collective layer's L + bytes * G) or generate
   /// stages on the fly (compile_blocked): start_edges(), then one
-  /// append_stage() per stage in stage order, each under
-  /// compile_edges()'s contract.
+  /// append_stage() per stage in stage order. Each stage's edges must be
+  /// sorted by (src, dst) with no duplicates and no self edges;
+  /// `self_overhead[i]` supplies O(i,i). Accumulation order matches
+  /// compile() (targets ascending per sender, sources ascending per
+  /// receiver), so edges with l = L(i,j) and o = O(i,j) evaluate
+  /// bit-identically to compiling the Schedule directly.
   void start_edges(std::size_t ranks, std::span<const double> self_overhead);
   void append_stage(std::span<const CompiledEdge> edges);
 
@@ -222,6 +220,8 @@ class CompiledSchedule {
   }
   /// Drop every stage and keep only the empty row; capacities stay.
   void reset(std::size_t ranks);
+  /// Append one target edge of the stage being built.
+  void add_edge(Rank src, Rank dst, double l, double o, bool put, double r);
   /// Turn the stage's target edges — appended in (sender, target)
   /// order from `first_edge` on, senders in edge_src_ — into rows and
   /// the stage's source CSR.
@@ -320,7 +320,7 @@ class IncrementalPredictor {
   double max_ready() const;
 
   /// Score exactly one appended stage from the current checkpoint.
-  void push_stage(const StageMatrix& stage, bool awaited = false);
+  void push_stage(const Stage& stage, bool awaited = false);
 
   /// O(1) backtrack to the previous checkpoint.
   void pop_stage();
@@ -334,6 +334,7 @@ class IncrementalPredictor {
   /// reused across push/pop cycles.
   std::vector<std::vector<double>> stack_;
   std::vector<double> batch_;
+  std::vector<double> processing_;
 };
 
 }  // namespace optibar

@@ -68,15 +68,13 @@ Prediction predict_reference(const Schedule& schedule,
     const bool awaited =
         s < options.awaited_stages.size() && options.awaited_stages[s];
     const double before = *std::max_element(ready.begin(), ready.end());
-    const StageMatrix& transport = schedule.transport(s);
-    const bool mixed = !transport.empty();
     // One-sided (put) edges: the startup term is the local initiation
     // O(i,i) instead of the rendezvous O(i,j), delivery completes
     // R(i,j) after the sender's batch, and the receiver pays no serial
     // completion processing. Same accumulation order as step_cost and
     // the compiled kernel.
     auto is_put = [&](std::size_t i, std::size_t j) {
-      return mixed && transport(i, j) != 0;
+      return schedule.one_sided(s, i, j);
     };
 
     // A rank's own step completes after it issues its batch; receivers

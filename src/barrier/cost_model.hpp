@@ -74,7 +74,7 @@ struct Prediction {
 /// Cost of one send batch per Eq. 1 (awaited == false) or Eq. 2
 /// (awaited == true). An empty target set costs zero. Prices every
 /// edge two-sided; transport-tagged schedules are priced by predict()
-/// / predict_reference(), which read Schedule::transport() per stage
+/// / predict_reference(), which read each signal's transport bit
 /// (put edges swap O(i,j) for the local O(i,i), deliver R(i,j) after
 /// the batch, and skip receiver processing).
 double step_cost(const TopologyProfile& profile, std::size_t sender,

@@ -56,12 +56,14 @@ DependencyGraph::DependencyGraph(const Schedule& schedule,
       // Receiver-side serial completion processing (see cost_model.hpp);
       // added after predecessor selection so path extraction still names
       // the binding dependency.
+      // Signals ascend by sender, so each receiver sums its sources in
+      // ascending order.
+      std::vector<double> processing(p, 0.0);
+      for (const Signal& signal : schedule.stage(s)) {
+        processing[signal.dst] += profile.l(signal.src, signal.dst);
+      }
       for (std::size_t j = 0; j < p; ++j) {
-        double processing = 0.0;
-        for (std::size_t i : schedule.sources_of(j, s)) {
-          processing += profile.l(i, j);
-        }
-        completion_[s + 1][j] += processing;
+        completion_[s + 1][j] += processing[j];
       }
     }
   }

@@ -11,16 +11,28 @@ namespace optibar {
 
 namespace {
 
-/// Rebuild a Schedule from mutable stage matrices, dropping all-empty
-/// stages (a pass can empty a stage entirely).
-Schedule rebuild(std::size_t ranks, const std::vector<StageMatrix>& stages) {
+/// Rebuild a Schedule from mutable stages, dropping empty stages (a
+/// pass can empty a stage entirely).
+Schedule rebuild(std::size_t ranks, const std::vector<Stage>& stages) {
   Schedule out(ranks);
-  for (const StageMatrix& stage : stages) {
-    if (!stage.all_zero()) {
+  for (const Stage& stage : stages) {
+    if (!stage.empty()) {
       out.append_stage(stage);
     }
   }
   return out;
+}
+
+/// The schedule's stages with every transport tag dropped: the passes
+/// rewrite signal patterns and return two-sided schedules.
+std::vector<Stage> untagged_stages(const Schedule& schedule) {
+  std::vector<Stage> stages = schedule.stages();
+  for (Stage& stage : stages) {
+    for (Signal& signal : stage) {
+      signal.one_sided = false;
+    }
+  }
+  return stages;
 }
 
 }  // namespace
@@ -36,35 +48,40 @@ OptimizeResult prune_redundant_signals(const Schedule& schedule,
   result.cost_before = predicted_time(schedule, profile);
 
   // Candidate signals, most expensive first (sender-side O + L).
-  struct Signal {
+  struct Candidate {
     double cost;
     std::size_t stage;
     std::size_t src;
     std::size_t dst;
   };
-  std::vector<Signal> candidates;
+  std::vector<Candidate> candidates;
   for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-    for (std::size_t i = 0; i < schedule.ranks(); ++i) {
-      for (std::size_t j : schedule.targets_of(i, s)) {
-        candidates.push_back(
-            Signal{profile.o(i, j) + profile.l(i, j), s, i, j});
-      }
+    for (const Signal& signal : schedule.stage(s)) {
+      candidates.push_back(Candidate{
+          profile.o(signal.src, signal.dst) + profile.l(signal.src, signal.dst),
+          s, signal.src, signal.dst});
     }
   }
   std::sort(candidates.begin(), candidates.end(),
-            [](const Signal& a, const Signal& b) {
+            [](const Candidate& a, const Candidate& b) {
               return std::tie(b.cost, a.stage, a.src, a.dst) <
                      std::tie(a.cost, b.stage, b.src, b.dst);
             });
 
-  std::vector<StageMatrix> stages(schedule.stages().begin(),
-                                  schedule.stages().end());
-  for (const Signal& signal : candidates) {
-    stages[signal.stage](signal.src, signal.dst) = 0;
+  std::vector<Stage> stages = untagged_stages(schedule);
+  for (const Candidate& candidate : candidates) {
+    Stage& stage = stages[candidate.stage];
+    const auto at = std::find_if(stage.begin(), stage.end(),
+                                 [&](const Signal& signal) {
+                                   return signal.src == candidate.src &&
+                                          signal.dst == candidate.dst;
+                                 });
+    const Signal removed = *at;
+    const auto index = stage.erase(at) - stage.begin();
     if (Schedule(schedule.ranks(), stages).is_barrier()) {
       ++result.signals_removed;
     } else {
-      stages[signal.stage](signal.src, signal.dst) = 1;  // keep it
+      stage.insert(stage.begin() + index, removed);  // keep it
     }
   }
 
@@ -84,8 +101,7 @@ OptimizeResult fuse_stages(const Schedule& schedule,
   OptimizeResult result;
   result.cost_before = predicted_time(schedule, profile);
 
-  std::vector<StageMatrix> stages(schedule.stages().begin(),
-                                  schedule.stages().end());
+  std::vector<Stage> stages = untagged_stages(schedule);
   double current_cost = result.cost_before;
   std::size_t s = 0;
   // Candidate pricing dominates the fusion loop; keep one compiled
@@ -93,10 +109,11 @@ OptimizeResult fuse_stages(const Schedule& schedule,
   CompiledSchedule compiled;
   PredictWorkspace workspace;
   while (s + 1 < stages.size()) {
-    // Candidate: OR stage s into s+1 (a fused matrix may not gain
+    // Candidate: merge stage s into s+1 (the union gains no
     // self-signals because neither operand has any).
-    std::vector<StageMatrix> fused(stages);
-    fused[s + 1] = bool_add(fused[s], fused[s + 1]);
+    std::vector<Stage> fused(stages);
+    fused[s + 1].insert(fused[s + 1].end(), fused[s].begin(), fused[s].end());
+    normalize_stage(fused[s + 1]);
     fused.erase(fused.begin() + static_cast<std::ptrdiff_t>(s));
     const Schedule candidate = rebuild(schedule.ranks(), fused);
     if (candidate.is_barrier()) {

@@ -1,159 +1,253 @@
 #include "barrier/schedule.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace optibar {
 
-Schedule::Schedule(std::size_t ranks) : ranks_(ranks) {
-  OPTIBAR_REQUIRE(ranks_ > 0, "schedule needs at least one rank");
+namespace {
+
+bool signal_less(const Signal& a, const Signal& b) {
+  return a.src != b.src ? a.src < b.src : a.dst < b.dst;
 }
 
-Schedule::Schedule(std::size_t ranks, std::vector<StageMatrix> stages)
+/// The signal i -> j of `stage`, or nullptr.
+const Signal* find_signal(const Stage& stage, std::size_t i, std::size_t j) {
+  const Signal key{static_cast<std::uint32_t>(i),
+                   static_cast<std::uint32_t>(j)};
+  const auto it =
+      std::lower_bound(stage.begin(), stage.end(), key, signal_less);
+  return it != stage.end() && it->src == i && it->dst == j ? &*it : nullptr;
+}
+
+}  // namespace
+
+void normalize_stage(Stage& stage) {
+  std::sort(stage.begin(), stage.end(), signal_less);
+  std::size_t out = 0;
+  for (std::size_t k = 0; k < stage.size(); ++k) {
+    if (out > 0 && stage[out - 1].src == stage[k].src &&
+        stage[out - 1].dst == stage[k].dst) {
+      stage[out - 1].one_sided = stage[out - 1].one_sided || stage[k].one_sided;
+    } else {
+      stage[out++] = stage[k];
+    }
+  }
+  stage.resize(out);
+}
+
+Knowledge::Knowledge(std::size_t ranks)
+    : ranks_(ranks),
+      words_((ranks + 63) / 64),
+      bits_(ranks * words_, 0),
+      receives_(ranks, 0) {
+  for (std::size_t j = 0; j < ranks_; ++j) {
+    bits_[j * words_ + j / 64] |= std::uint64_t{1} << (j % 64);
+  }
+}
+
+void Knowledge::apply(const Stage& stage) {
+  // Stage the pre-stage rows of ranks that receive (their rows change)
+  // and also send (their rows are read): a receive-only rank is never
+  // read, and a send-only rank's row does not change in this stage.
+  for (const Signal& signal : stage) {
+    receives_[signal.dst] = 1;
+  }
+  staged_row_.clear();
+  staged_.clear();
+  for (std::size_t k = 0; k < stage.size(); ++k) {
+    const std::uint32_t src = stage[k].src;
+    if (receives_[src] && (k == 0 || stage[k - 1].src != src)) {
+      staged_row_.push_back(src);
+      const auto row =
+          bits_.begin() + static_cast<std::ptrdiff_t>(src * words_);
+      staged_.insert(staged_.end(), row,
+                     row + static_cast<std::ptrdiff_t>(words_));
+    }
+  }
+  std::size_t next_staged = 0;
+  for (std::size_t k = 0; k < stage.size(); ++k) {
+    const std::uint32_t src = stage[k].src;
+    // Staged senders ascend like the signals, so a cursor finds them.
+    while (next_staged < staged_row_.size() && staged_row_[next_staged] < src) {
+      ++next_staged;
+    }
+    const bool staged =
+        next_staged < staged_row_.size() && staged_row_[next_staged] == src;
+    const std::uint64_t* from = staged ? &staged_[next_staged * words_]
+                                       : &bits_[src * words_];
+    std::uint64_t* to = &bits_[stage[k].dst * words_];
+    for (std::size_t w = 0; w < words_; ++w) {
+      to[w] |= from[w];
+    }
+  }
+  for (const Signal& signal : stage) {
+    receives_[signal.dst] = 0;
+  }
+}
+
+bool Knowledge::complete() const {
+  // Bits past ranks_ are never set, so a row is full iff it counts P.
+  for (std::size_t j = 0; j < ranks_; ++j) {
+    std::size_t known = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      known += static_cast<std::size_t>(std::popcount(bits_[j * words_ + w]));
+    }
+    if (known != ranks_) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Schedule::Schedule(std::size_t ranks) : ranks_(ranks) {
+  OPTIBAR_REQUIRE(ranks_ > 0, "schedule needs at least one rank");
+  OPTIBAR_REQUIRE(ranks_ <= 0xFFFFFFFFu,
+                  "schedule over " << ranks_ << " ranks exceeds 32-bit ranks");
+}
+
+Schedule::Schedule(std::size_t ranks, std::vector<Stage> stages)
     : Schedule(ranks) {
-  for (auto& stage : stages) {
+  stages_.reserve(stages.size());
+  for (Stage& stage : stages) {
     append_stage(std::move(stage));
   }
 }
 
-void Schedule::check_stage(const StageMatrix& stage) const {
-  OPTIBAR_REQUIRE(stage.rows() == ranks_ && stage.cols() == ranks_,
-                  "stage must be " << ranks_ << "x" << ranks_ << ", got "
-                                   << stage.rows() << "x" << stage.cols());
-  for (std::size_t i = 0; i < ranks_; ++i) {
-    OPTIBAR_REQUIRE(!stage(i, i),
-                    "stage has a self-signal at rank " << i
-                                                       << "; the diagonal must be zero");
-  }
-}
-
-const StageMatrix& Schedule::stage(std::size_t s) const {
+const Stage& Schedule::stage(std::size_t s) const {
   OPTIBAR_REQUIRE(s < stages_.size(),
                   "stage " << s << " out of range (" << stages_.size()
                            << " stages)");
   return stages_[s];
 }
 
-void Schedule::append_stage(StageMatrix stage) {
-  check_stage(stage);
+void Schedule::append_stage(Stage stage) {
+  for (std::size_t k = 0; k < stage.size(); ++k) {
+    const Signal& signal = stage[k];
+    OPTIBAR_REQUIRE(signal.src < ranks_ && signal.dst < ranks_,
+                    "signal " << signal.src << " -> " << signal.dst
+                              << " out of range for " << ranks_ << " ranks");
+    OPTIBAR_REQUIRE(signal.src != signal.dst,
+                    "stage has a self-signal at rank "
+                        << signal.src << "; the diagonal must be zero");
+    OPTIBAR_REQUIRE(k == 0 || signal_less(stage[k - 1], signal),
+                    "stage signals must be sorted by (src, dst) without "
+                    "duplicates; "
+                        << stage[k - 1].src << " -> " << stage[k - 1].dst
+                        << " precedes " << signal.src << " -> "
+                        << signal.dst);
+  }
   stages_.push_back(std::move(stage));
-  transports_.emplace_back();  // default: all two-sided
 }
 
 void Schedule::pop_stage() {
   OPTIBAR_REQUIRE(!stages_.empty(), "pop_stage on an empty schedule");
   stages_.pop_back();
-  transports_.pop_back();
 }
 
-const StageMatrix& Schedule::transport(std::size_t s) const {
-  OPTIBAR_REQUIRE(s < transports_.size(),
-                  "transport stage " << s << " out of range ("
-                                     << transports_.size() << " stages)");
-  return transports_[s];
-}
-
-void Schedule::set_transport(std::size_t s, StageMatrix transport) {
+void Schedule::set_one_sided(std::size_t s, std::size_t k, bool put) {
   OPTIBAR_REQUIRE(s < stages_.size(),
-                  "set_transport stage " << s << " out of range ("
+                  "set_one_sided stage " << s << " out of range ("
                                          << stages_.size() << " stages)");
-  if (transport.empty() || transport.all_zero()) {
-    transports_[s] = StageMatrix();  // normalized all-two-sided spelling
-    return;
+  OPTIBAR_REQUIRE(k < stages_[s].size(), "stage " << s << " has "
+                                                  << stages_[s].size()
+                                                  << " signals, no signal "
+                                                  << k);
+  stages_[s][k].one_sided = put;
+}
+
+void Schedule::set_all_one_sided(std::size_t s, bool put) {
+  OPTIBAR_REQUIRE(s < stages_.size(),
+                  "set_all_one_sided stage " << s << " out of range ("
+                                             << stages_.size() << " stages)");
+  for (Signal& signal : stages_[s]) {
+    signal.one_sided = put;
   }
-  OPTIBAR_REQUIRE(transport.rows() == ranks_ && transport.cols() == ranks_,
-                  "transport must be " << ranks_ << "x" << ranks_ << ", got "
-                                       << transport.rows() << "x"
-                                       << transport.cols());
-  const StageMatrix& signals = stages_[s];
-  for (std::size_t i = 0; i < ranks_; ++i) {
-    for (std::size_t j = 0; j < ranks_; ++j) {
-      OPTIBAR_REQUIRE(!transport(i, j) || signals(i, j),
-                      "transport marks " << i << " -> " << j << " of stage "
-                                         << s
-                                         << " one-sided, but the stage has no "
-                                            "such signal");
-    }
-  }
-  transports_[s] = std::move(transport);
+}
+
+bool Schedule::has_signal(std::size_t s, std::size_t i, std::size_t j) const {
+  return find_signal(stage(s), i, j) != nullptr;
 }
 
 bool Schedule::one_sided(std::size_t s, std::size_t i, std::size_t j) const {
-  const StageMatrix& t = transport(s);
-  return !t.empty() && t(i, j) != 0;
+  const Signal* signal = find_signal(stage(s), i, j);
+  return signal != nullptr && signal->one_sided;
 }
 
 bool Schedule::has_one_sided() const {
-  for (const auto& t : transports_) {
-    if (!t.empty()) {
-      return true;
-    }
-  }
-  return false;
+  return one_sided_signal_count() > 0;
 }
 
 std::size_t Schedule::one_sided_signal_count() const {
   std::size_t n = 0;
-  for (const auto& t : transports_) {
-    if (!t.empty()) {
-      n += t.count_nonzero();
-    }
+  for (const Stage& stage : stages_) {
+    n += static_cast<std::size_t>(std::count_if(
+        stage.begin(), stage.end(),
+        [](const Signal& signal) { return signal.one_sided; }));
   }
   return n;
 }
 
 std::vector<std::size_t> Schedule::targets_of(std::size_t rank,
                                               std::size_t s) const {
-  const StageMatrix& m = stage(s);
+  const Stage& m = stage(s);
   OPTIBAR_REQUIRE(rank < ranks_, "rank out of range");
+  auto it = std::lower_bound(
+      m.begin(), m.end(), rank,
+      [](const Signal& signal, std::size_t r) { return signal.src < r; });
   std::vector<std::size_t> out;
-  for (std::size_t j = 0; j < ranks_; ++j) {
-    if (m(rank, j)) {
-      out.push_back(j);
-    }
+  for (; it != m.end() && it->src == rank; ++it) {
+    out.push_back(it->dst);
   }
   return out;
 }
 
 std::vector<std::size_t> Schedule::sources_of(std::size_t rank,
                                               std::size_t s) const {
-  const StageMatrix& m = stage(s);
+  const Stage& m = stage(s);
   OPTIBAR_REQUIRE(rank < ranks_, "rank out of range");
   std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < ranks_; ++i) {
-    if (m(i, rank)) {
-      out.push_back(i);
+  for (const Signal& signal : m) {
+    if (signal.dst == rank) {
+      out.push_back(signal.src);
     }
   }
   return out;
 }
 
-BoolMatrix Schedule::knowledge_after(std::size_t a) const {
+Knowledge Schedule::knowledge_after(std::size_t a) const {
   OPTIBAR_REQUIRE(a < stages_.size(), "knowledge_after: stage out of range");
   // K_0 = I + S_0; K_a = K_{a-1} + K_{a-1} * S_a   (Eq. 3)
-  BoolMatrix k = bool_add(BoolMatrix::identity(ranks_), stages_[0]);
-  for (std::size_t s = 1; s <= a; ++s) {
-    k = bool_add(k, bool_multiply(k, stages_[s]));
+  Knowledge k(ranks_);
+  for (std::size_t s = 0; s <= a; ++s) {
+    k.apply(stages_[s]);
   }
   return k;
 }
 
-BoolMatrix Schedule::final_knowledge() const {
+Knowledge Schedule::final_knowledge() const {
   if (stages_.empty()) {
-    return BoolMatrix::identity(ranks_);
+    return Knowledge(ranks_);
   }
   return knowledge_after(stages_.size() - 1);
 }
 
-bool Schedule::is_barrier() const { return final_knowledge().all_nonzero(); }
+bool Schedule::is_barrier() const { return final_knowledge().complete(); }
 
 Schedule Schedule::transposed_reversed() const {
   Schedule out(ranks_);
+  out.stages_.reserve(stages_.size());
   for (std::size_t s = stages_.size(); s-- > 0;) {
-    out.append_stage(stages_[s].transposed());
-    if (!transports_[s].empty()) {
-      // A put arrival edge departs as a put too: transpose alongside.
-      out.set_transport(out.stage_count() - 1, transports_[s].transposed());
+    // A put arrival edge departs as a put too: the bit rides along.
+    Stage transposed(stages_[s].size());
+    for (std::size_t k = 0; k < transposed.size(); ++k) {
+      const Signal& signal = stages_[s][k];
+      transposed[k] = Signal{signal.dst, signal.src, signal.one_sided};
     }
+    std::sort(transposed.begin(), transposed.end(), signal_less);
+    out.stages_.push_back(std::move(transposed));
   }
   return out;
 }
@@ -164,23 +258,16 @@ Schedule Schedule::concatenated(const Schedule& tail) const {
                                                        << tail.ranks_
                                                        << " ranks");
   Schedule out = *this;
-  for (std::size_t s = 0; s < tail.stages_.size(); ++s) {
-    out.append_stage(tail.stages_[s]);
-    if (!tail.transports_[s].empty()) {
-      out.set_transport(out.stage_count() - 1, tail.transports_[s]);
-    }
-  }
+  out.stages_.insert(out.stages_.end(), tail.stages_.begin(),
+                     tail.stages_.end());
   return out;
 }
 
 Schedule Schedule::compacted() const {
   Schedule out(ranks_);
-  for (std::size_t s = 0; s < stages_.size(); ++s) {
-    if (!stages_[s].all_zero()) {
-      out.append_stage(stages_[s]);
-      if (!transports_[s].empty()) {
-        out.set_transport(out.stage_count() - 1, transports_[s]);
-      }
+  for (const Stage& stage : stages_) {
+    if (!stage.empty()) {
+      out.stages_.push_back(stage);
     }
   }
   return out;
@@ -188,20 +275,16 @@ Schedule Schedule::compacted() const {
 
 std::size_t Schedule::total_signals() const {
   std::size_t n = 0;
-  for (const auto& stage : stages_) {
-    n += stage.count_nonzero();
+  for (const Stage& stage : stages_) {
+    n += stage.size();
   }
   return n;
 }
 
 std::size_t Schedule::nonempty_stage_count() const {
-  std::size_t n = 0;
-  for (const auto& stage : stages_) {
-    if (!stage.all_zero()) {
-      ++n;
-    }
-  }
-  return n;
+  return static_cast<std::size_t>(
+      std::count_if(stages_.begin(), stages_.end(),
+                    [](const Stage& stage) { return !stage.empty(); }));
 }
 
 void embed_schedule(Schedule& global, const Schedule& local,
@@ -215,44 +298,29 @@ void embed_schedule(Schedule& global, const Schedule& local,
                     "rank_map entry " << mapped << " out of range for "
                                       << global.ranks() << " global ranks");
   }
-  while (global.stage_count() < first_stage + local.stage_count()) {
-    global.append_stage(StageMatrix(global.ranks(), global.ranks(), 0));
+  for (const Stage& stage : local.stages()) {
+    for (const Signal& signal : stage) {
+      OPTIBAR_REQUIRE(rank_map[signal.src] != rank_map[signal.dst],
+                      "rank_map turns local signal "
+                          << signal.src << " -> " << signal.dst
+                          << " into a self-signal at rank "
+                          << rank_map[signal.src]);
+    }
   }
-  // Rebuild the affected stages with the local signals (and their
-  // transport tags) OR-ed in.
-  std::vector<StageMatrix> stages(global.stages().begin(),
-                                  global.stages().end());
-  std::vector<StageMatrix> transports;
-  transports.reserve(global.stage_count());
-  for (std::size_t s = 0; s < global.stage_count(); ++s) {
-    transports.push_back(global.transport(s));
+  if (global.stages_.size() < first_stage + local.stage_count()) {
+    global.stages_.resize(first_stage + local.stage_count());
   }
+  // Each affected stage becomes the union of its signals and the mapped
+  // local ones, merged back into (src, dst) order.
   for (std::size_t s = 0; s < local.stage_count(); ++s) {
-    const StageMatrix& src = local.stage(s);
-    const StageMatrix& src_transport = local.transport(s);
-    StageMatrix& dst = stages[first_stage + s];
-    StageMatrix& dst_transport = transports[first_stage + s];
-    if (!src_transport.empty() && dst_transport.empty()) {
-      dst_transport = StageMatrix(global.ranks(), global.ranks(), 0);
+    Stage& merged = global.stages_[first_stage + s];
+    for (const Signal& signal : local.stage(s)) {
+      merged.push_back(Signal{static_cast<std::uint32_t>(rank_map[signal.src]),
+                              static_cast<std::uint32_t>(rank_map[signal.dst]),
+                              signal.one_sided});
     }
-    for (std::size_t i = 0; i < local.ranks(); ++i) {
-      for (std::size_t j = 0; j < local.ranks(); ++j) {
-        if (src(i, j)) {
-          dst(rank_map[i], rank_map[j]) = 1;
-          if (!src_transport.empty() && src_transport(i, j)) {
-            dst_transport(rank_map[i], rank_map[j]) = 1;
-          }
-        }
-      }
-    }
+    normalize_stage(merged);
   }
-  Schedule rebuilt(global.ranks(), std::move(stages));
-  for (std::size_t s = 0; s < transports.size(); ++s) {
-    if (!transports[s].empty()) {
-      rebuilt.set_transport(s, std::move(transports[s]));
-    }
-  }
-  global = std::move(rebuilt);
 }
 
 std::ostream& operator<<(std::ostream& os, const Schedule& schedule) {
@@ -260,12 +328,38 @@ std::ostream& operator<<(std::ostream& os, const Schedule& schedule) {
      << schedule.stage_count() << " stages, " << schedule.total_signals()
      << " signals\n";
   for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-    os << "S" << s << ":\n" << schedule.stage(s);
-    if (!schedule.transport(s).empty()) {
-      os << "T" << s << " (one-sided subset):\n" << schedule.transport(s);
+    os << "S" << s << ":\n";
+    write_stage_cells(os, schedule, s, /*transports=*/false);
+    if (std::any_of(schedule.stage(s).begin(), schedule.stage(s).end(),
+                    [](const Signal& signal) { return signal.one_sided; })) {
+      os << "T" << s << " (one-sided subset):\n";
+      write_stage_cells(os, schedule, s, /*transports=*/true);
     }
   }
   return os;
+}
+
+void write_stage_cells(std::ostream& os, const Schedule& schedule,
+                       std::size_t s, bool transports) {
+  const std::size_t p = schedule.ranks();
+  OPTIBAR_REQUIRE(p <= kMaxDenseTextRanks,
+                  "refusing to write a " << p << "-rank schedule as " << p
+                                         << " x " << p
+                                         << " text cells (at most "
+                                         << kMaxDenseTextRanks << " ranks)");
+  const Stage& stage = schedule.stage(s);
+  // The signals ascend in row-major cell order, so one cursor walks them.
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = 0; j < p; ++j) {
+      int cell = 0;
+      if (k < stage.size() && stage[k].src == i && stage[k].dst == j) {
+        cell = !transports || stage[k].one_sided ? 1 : 0;
+        ++k;
+      }
+      os << cell << (j + 1 == p ? '\n' : ' ');
+    }
+  }
 }
 
 }  // namespace optibar

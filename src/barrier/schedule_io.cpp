@@ -1,6 +1,5 @@
 #include "barrier/schedule_io.hpp"
 
-#include <cstdint>
 #include <fstream>
 #include <ostream>
 #include <string>
@@ -18,14 +17,26 @@ constexpr const char* kMagic = "optibar-schedule";
 
 // Header sanity caps: a lying header must not drive allocation. The
 // limits are far above anything the tuner produces (P is "a few
-// hundred" throughout the paper) but small enough that P*P stage
-// matrices stay well under memory limits.
-constexpr std::size_t kMaxRanks = 8192;
+// hundred" throughout the paper); the rank cap is the writers' cap on
+// P^2-cell text, so every file a writer produces loads.
+constexpr std::size_t kMaxRanks = kMaxDenseTextRanks;
 constexpr std::size_t kMaxStages = 100000;
+
+/// The text form spells out P^2 cells per stage; refuse before writing
+/// (or creating a file) rather than halfway through.
+void check_text_ranks(const Schedule& schedule) {
+  OPTIBAR_REQUIRE(schedule.ranks() <= kMaxDenseTextRanks,
+                  "refusing to write a " << schedule.ranks()
+                                         << "-rank schedule: the text format "
+                                            "spells out P x P cells per stage "
+                                            "(at most "
+                                         << kMaxDenseTextRanks << " ranks)");
+}
 }  // namespace
 
 void save_schedule(std::ostream& os, const StoredSchedule& stored) {
   const Schedule& s = stored.schedule;
+  check_text_ranks(s);
   OPTIBAR_REQUIRE(stored.awaited_stages.empty() ||
                       stored.awaited_stages.size() == s.stage_count(),
                   "awaited_stages must be empty or match stage count");
@@ -47,22 +58,14 @@ void save_schedule(std::ostream& os, const StoredSchedule& stored) {
     }
   }
   os << '\n';
-  auto dump = [&](const StageMatrix& m) {
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-      for (std::size_t c = 0; c < m.cols(); ++c) {
-        os << static_cast<int>(m(r, c)) << (c + 1 == m.cols() ? '\n' : ' ');
-      }
-    }
-  };
   for (std::size_t st = 0; st < s.stage_count(); ++st) {
     os << "S" << st << '\n';
-    dump(s.stage(st));
+    write_stage_cells(os, s, st, /*transports=*/false);
     if (v2) {
       // Every stage gets a T matrix in v2 (all-zero when two-sided), so
       // the reader never has to look ahead to tell T<st> from S<st+1>.
       os << "T" << st << '\n';
-      const StageMatrix& t = s.transport(st);
-      dump(t.empty() ? StageMatrix(s.ranks(), s.ranks(), 0) : t);
+      write_stage_cells(os, s, st, /*transports=*/true);
     }
   }
   OPTIBAR_REQUIRE(os.good(), "I/O error while writing schedule");
@@ -94,31 +97,47 @@ StoredSchedule load_schedule(Scanner& in) {
   for (std::size_t i = 0; i < stages; ++i) {
     out.awaited_stages.push_back(in.count("awaited flag", 1) == 1);
   }
-  // Cells grow with the data read, never with the header's P.
-  auto read_matrix = [&](const char* what) {
-    std::vector<std::uint8_t> cells;
-    for (std::size_t i = 0; i < p * p; ++i) {
-      cells.push_back(static_cast<std::uint8_t>(in.count(what, 1)));
+  // Rows are read into signals as they come, so memory grows with the
+  // data read, never with the header's P.
+  auto read_cells = [&](const char* what, auto&& on_one) {
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t j = 0; j < p; ++j) {
+        if (in.count(what, 1) == 1) {
+          on_one(i, j);
+        }
+      }
     }
-    return StageMatrix(p, p, std::move(cells));
   };
   for (std::size_t st = 0; st < stages; ++st) {
     in.expect("S", st);
-    StageMatrix stage = read_matrix("stage cell");
-    StageMatrix transport;
+    Stage stage;
+    read_cells("stage cell", [&](std::size_t i, std::size_t j) {
+      stage.push_back(Signal{static_cast<std::uint32_t>(i),
+                             static_cast<std::uint32_t>(j)});
+    });
     if (v2) {
       in.expect("T", st);
-      transport = read_matrix("transport cell");
+      // The T cells ascend like the signals: one cursor tags them.
+      std::size_t k = 0;
+      read_cells("transport cell", [&](std::size_t i, std::size_t j) {
+        while (k < stage.size() && (stage[k].src < i ||
+                                    (stage[k].src == i && stage[k].dst < j))) {
+          ++k;
+        }
+        OPTIBAR_IO_REQUIRE(k < stage.size() && stage[k].src == i &&
+                               stage[k].dst == j,
+                           "invalid stage "
+                               << st << ": transport marks " << i << " -> "
+                               << j << " of stage " << st
+                               << " one-sided, but the stage has no such "
+                                  "signal");
+        stage[k].one_sided = true;
+      });
     }
-    // append_stage refuses a self-signal and set_transport a one-sided
-    // edge outside its stage; the bad data came from the file, so they
-    // surface as parse (Io) errors. set_transport also normalizes an
-    // all-zero T to the empty (two-sided) spelling.
+    // append_stage refuses a self-signal; the bad data came from the
+    // file, so it surfaces as a parse (Io) error.
     try {
       out.schedule.append_stage(std::move(stage));
-      if (v2) {
-        out.schedule.set_transport(st, std::move(transport));
-      }
     } catch (const Error& error) {
       OPTIBAR_IO_FAIL("invalid stage " << st << ": " << error.what());
     }
@@ -135,6 +154,7 @@ StoredSchedule load_schedule(Scanner& in) {
 }
 
 void save_schedule_file(const std::string& path, const StoredSchedule& stored) {
+  check_text_ranks(stored.schedule);
   std::ofstream os(path);
   OPTIBAR_IO_REQUIRE(os.is_open(), "cannot open " << path << " for writing");
   save_schedule(os, stored);

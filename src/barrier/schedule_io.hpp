@@ -5,8 +5,11 @@
 // (src/core/library.hpp) indexes them at barrier-call time — the
 // "solution which stores the profile in a manner which can be
 // efficiently indexed at run-time" the paper's Section VIII asks for.
-// The format is versioned text: stage matrices as 0/1 rows, plus the
-// per-stage awaited (departure) flags the Eq. 2 predictor needs.
+// The format is versioned text: each stage as its P x P incidence
+// matrix in 0/1 rows (read into, and written from, the stage's sorted
+// signals), plus the per-stage awaited (departure) flags the Eq. 2
+// predictor needs. Spelling out P^2 cells per stage caps the writer at
+// kMaxDenseTextRanks (8192) ranks, checked before anything is written.
 // v2 appends a `T<stage>` transport matrix (the one-sided subset) after
 // each stage that carries one; pure two-sided schedules still save as
 // v1, byte-identical to pre-RMA builds, and v1 files load with every

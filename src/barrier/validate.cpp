@@ -9,38 +9,47 @@ namespace optibar {
 
 namespace {
 
-// Iterative three-color DFS; returns a rank on a directed cycle, or
-// npos. Stage digraphs have zero diagonal (enforced by Schedule), so a
-// cycle involves >= 2 ranks.
-std::size_t find_cycle_rank(const StageMatrix& stage) {
-  const std::size_t n = stage.rows();
+// Iterative three-color DFS over the stage's signals; returns a rank on a
+// directed cycle, or npos. Nodes start in ascending order and each
+// node's targets are walked ascending, the dense matrix's scan order, so
+// the rank named is the one a row-by-row search names. Stage digraphs
+// have no self-signals (enforced by Schedule), so a cycle involves >= 2
+// ranks.
+std::size_t find_cycle_rank(const Stage& stage, std::size_t n) {
+  // first[i]: index of i's first signal; the signals ascend by src.
+  std::vector<std::size_t> first(n + 1, stage.size());
+  for (std::size_t k = stage.size(); k-- > 0;) {
+    first[stage[k].src] = k;
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    first[i] = std::min(first[i], first[i + 1]);
+  }
   enum : std::uint8_t { kWhite, kGray, kBlack };
   std::vector<std::uint8_t> color(n, kWhite);
-  std::vector<std::pair<std::size_t, std::size_t>> stack;  // (node, next j)
+  // (node, index of its next signal)
+  std::vector<std::pair<std::size_t, std::size_t>> stack;
   for (std::size_t start = 0; start < n; ++start) {
-    if (color[start] != kWhite) {
-      continue;
+    if (color[start] != kWhite || first[start] == first[start + 1]) {
+      continue;  // visited, or a rank that signals nobody
     }
     color[start] = kGray;
-    stack.emplace_back(start, 0);
+    stack.emplace_back(start, first[start]);
     while (!stack.empty()) {
       const std::size_t node = stack.back().first;
-      const std::size_t j = stack.back().second;
-      if (j == n) {
+      const std::size_t k = stack.back().second;
+      if (k == first[node + 1]) {
         color[node] = kBlack;
         stack.pop_back();
         continue;
       }
       ++stack.back().second;
-      if (!stage(node, j)) {
-        continue;
-      }
+      const std::size_t j = stage[k].dst;
       if (color[j] == kGray) {
         return j;  // back edge: j is on a directed cycle
       }
       if (color[j] == kWhite) {
         color[j] = kGray;
-        stack.emplace_back(j, 0);
+        stack.emplace_back(j, first[j]);
       }
     }
   }
@@ -88,8 +97,8 @@ std::string ValidationResult::describe() const {
   return os.str();
 }
 
-bool stage_has_cycle(const StageMatrix& stage) {
-  return find_cycle_rank(stage) != static_cast<std::size_t>(-1);
+bool stage_has_cycle(const Stage& stage, std::size_t ranks) {
+  return find_cycle_rank(stage, ranks) != static_cast<std::size_t>(-1);
 }
 
 ValidationResult validate_schedule(const StoredSchedule& stored) {
@@ -106,7 +115,8 @@ ValidationResult validate_schedule(const StoredSchedule& stored) {
   }
   for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
     if (s < awaited.size() && awaited[s]) {
-      const std::size_t rank = find_cycle_rank(schedule.stage(s));
+      const std::size_t rank =
+          find_cycle_rank(schedule.stage(s), schedule.ranks());
       if (rank != static_cast<std::size_t>(-1)) {
         std::ostringstream os;
         os << "awaited stage has a directed wait cycle through rank "
@@ -119,20 +129,16 @@ ValidationResult validate_schedule(const StoredSchedule& stored) {
   }
   if (!schedule.is_barrier()) {
     // Name the first arrival fact that never propagates (Eq. 3).
-    const BoolMatrix k = schedule.final_knowledge();
+    const Knowledge k = schedule.final_knowledge();
     std::ostringstream os;
     os << "knowledge does not saturate";
-    for (std::size_t i = 0; i < k.rows(); ++i) {
-      bool found = false;
-      for (std::size_t j = 0; j < k.cols(); ++j) {
+    bool found = false;
+    for (std::size_t i = 0; i < k.ranks() && !found; ++i) {
+      for (std::size_t j = 0; j < k.ranks() && !found; ++j) {
         if (!k(i, j)) {
           os << ": rank " << i << "'s arrival never reaches rank " << j;
           found = true;
-          break;
         }
-      }
-      if (found) {
-        break;
       }
     }
     result.issues.push_back(ScheduleIssue{

@@ -74,9 +74,9 @@ struct ValidationResult {
   std::string describe() const;
 };
 
-/// True when the stage's edge digraph (i -> j iff stage(i, j)) contains
-/// a directed cycle.
-bool stage_has_cycle(const StageMatrix& stage);
+/// True when the digraph of the stage's signals over `ranks` ranks
+/// contains a directed cycle. O(ranks + signals).
+bool stage_has_cycle(const Stage& stage, std::size_t ranks);
 
 /// Validate a stored schedule (awaited flags checked). An empty awaited
 /// vector means no stage is awaited.

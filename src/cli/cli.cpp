@@ -305,7 +305,8 @@ int tune_hierarchical_cmd(const Args& args, std::ostream& out) {
                     "--schedule-out on the dense fallback path: rerun "
                     "without --hierarchical");
     StoredSchedule stored;
-    stored.schedule = tuned.blocked.to_dense();  // guarded at large P
+    // save_schedule_file refuses P > 8192: the text is P^2 cells a stage.
+    stored.schedule = tuned.blocked.to_dense();
     stored.awaited_stages = tuned.blocked.awaited_stages();
     save_schedule_file(args.require("schedule-out"), stored);
     out << "schedule written to " << args.require("schedule-out") << "\n";

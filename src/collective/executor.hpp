@@ -49,6 +49,8 @@ class CollectiveExecutor {
   std::size_t ranks() const { return core_.ranks(); }
   std::size_t stage_count() const { return core_.stage_count(); }
   const simmpi::ExecutorOptions& options() const { return core_.options(); }
+  /// The per-rank payload edges the schedule translated into.
+  const simmpi::StagedExecutor::Table& table() const { return core_.table(); }
 
   /// Post one collective episode: snapshot and send stage 0's outgoing
   /// sub-ranges of `buffer` (elem_count words, transformed in place as

@@ -13,22 +13,23 @@ void compile_collective(const CollectiveSchedule& schedule,
   OPTIBAR_REQUIRE(profile.ranks() == p,
                   "profile has " << profile.ranks() << " ranks, schedule has "
                                  << p);
-  std::vector<std::vector<CompiledEdge>> stage_edges(schedule.stage_count());
-  for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-    const CollectiveStage& stage = schedule.stage(s);
-    stage_edges[s].reserve(stage.size());
-    for (const CollectiveEdge& e : stage) {
-      const double bytes = static_cast<double>(schedule.edge_bytes(e));
-      stage_edges[s].push_back(CompiledEdge{
-          e.src, e.dst, profile.l(e.src, e.dst) + bytes * profile.g(e.src, e.dst),
-          profile.o(e.src, e.dst)});
-    }
-  }
   std::vector<double> self_overhead(p);
   for (std::size_t i = 0; i < p; ++i) {
     self_overhead[i] = profile.o(i, i);
   }
-  compiled.compile_edges(p, stage_edges, self_overhead);
+  compiled.reserve(p, schedule.stage_count(), schedule.total_edges());
+  compiled.start_edges(p, self_overhead);
+  std::vector<CompiledEdge> edges;
+  for (const CollectiveStage& stage : schedule.stages()) {
+    edges.clear();
+    for (const CollectiveEdge& e : stage) {
+      const double bytes = static_cast<double>(schedule.edge_bytes(e));
+      edges.push_back(CompiledEdge{
+          e.src, e.dst, profile.l(e.src, e.dst) + bytes * profile.g(e.src, e.dst),
+          profile.o(e.src, e.dst)});
+    }
+    compiled.append_stage(edges);
+  }
 }
 
 Prediction predict_collective(const CollectiveSchedule& schedule,

@@ -143,11 +143,14 @@ std::size_t CollectiveSchedule::total_edges() const {
 Schedule CollectiveSchedule::signal_schedule() const {
   Schedule signals(ranks_);
   for (const CollectiveStage& stage : stages_) {
-    StageMatrix m(ranks_, ranks_, 0);
-    for (const CollectiveEdge& e : stage) {
-      m(e.src, e.dst) = 1;
+    // Collective stages are sorted by (src, dst) without duplicates, so
+    // their edges are already a signal stage.
+    Stage signal_stage(stage.size());
+    for (std::size_t k = 0; k < stage.size(); ++k) {
+      signal_stage[k] = Signal{static_cast<std::uint32_t>(stage[k].src),
+                               static_cast<std::uint32_t>(stage[k].dst)};
     }
-    signals.append_stage(std::move(m));
+    signals.append_stage(std::move(signal_stage));
   }
   return signals;
 }
@@ -156,12 +159,11 @@ CollectiveSchedule from_barrier(const Schedule& schedule,
                                 std::size_t elem_bytes) {
   CollectiveSchedule coll(CollectiveOp::kAllreduce, schedule.ranks(),
                           /*elem_count=*/0, elem_bytes);
-  for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
+  for (const Stage& signals : schedule.stages()) {
     CollectiveStage stage;
-    for (std::size_t i = 0; i < schedule.ranks(); ++i) {
-      for (std::size_t j : schedule.targets_of(i, s)) {
-        stage.push_back(CollectiveEdge{i, j, 0, 0, false});
-      }
+    stage.reserve(signals.size());
+    for (const Signal& signal : signals) {
+      stage.push_back(CollectiveEdge{signal.src, signal.dst, 0, 0, false});
     }
     coll.append_stage(std::move(stage));
   }

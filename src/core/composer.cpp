@@ -284,7 +284,7 @@ ComposedBarrier compose_barrier(const TopologyProfile& profile,
   std::vector<bool> awaited;
   Schedule compacted(p);
   for (std::size_t s = 0; s < full.stage_count(); ++s) {
-    if (full.stage(s).all_zero()) {
+    if (full.stage(s).empty()) {
       continue;
     }
     compacted.append_stage(full.stage(s));
@@ -297,7 +297,7 @@ ComposedBarrier compose_barrier(const TopologyProfile& profile,
     // "awaited implies acyclic" a composer invariant the validator can
     // enforce on every stored plan.
     awaited.push_back(s >= arrival.stage_count() &&
-                      !stage_has_cycle(full.stage(s)));
+                      !stage_has_cycle(full.stage(s), p));
   }
   out.arrival_stages = 0;
   for (std::size_t s = 0; s < awaited.size(); ++s) {

@@ -11,15 +11,33 @@
 namespace optibar {
 namespace {
 
-/// Densify-and-fall-back cap for schedule validation: the static
-/// deadlock-freedom proof walks dense stage matrices — its knowledge
-/// recurrence is cubic in P — so it only runs at debug scale, where the
-/// parity and preset tests live. The blocked plan is a barrier by
-/// construction (validated class arrivals + leader barrier composed per
-/// §VII-B); above the cap the correctness evidence is those tests plus
-/// netsim completion at 10k (bench_scale, the perf smoke test). Raising
-/// this re-introduces super-quadratic tune cost below the cap.
+/// Cap for the static deadlock-freedom proof of blocked plans. The
+/// proof runs on the flat schedule (to_dense(), O(signals)); its Eq. 3
+/// check costs O(P/64 * signals) and P^2/8 bytes of knowledge bits, ~5 ms
+/// and 13 MB at 10240 ranks, which would dominate the tenk tune. So it
+/// runs at debug scale, where the parity and preset tests live. The
+/// blocked plan is a barrier by construction (validated class arrivals +
+/// leader barrier composed per §VII-B); above the cap the correctness
+/// evidence is those tests plus netsim completion at 10k (bench_scale,
+/// the perf smoke test).
 constexpr std::size_t kValidateDenseCap = 512;
+
+/// The leaders' profile, symmetrized, with O and L only: the blocked
+/// barrier path prices every edge two-sided and carries no payload, so
+/// it never reads G or R, and leaving them out halves the bytes built.
+TopologyProfile leader_profile(const TiledProfile& tiled,
+                               const std::vector<std::size_t>& leaders) {
+  const std::size_t n = leaders.size();
+  Matrix<double> o(n, n);
+  Matrix<double> l(n, n);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      o(a, b) = tiled.o(leaders[a], leaders[b]);
+      l(a, b) = tiled.l(leaders[a], leaders[b]);
+    }
+  }
+  return TopologyProfile(std::move(o), std::move(l)).symmetrized();
+}
 
 HierarchicalTuneResult dense_fallback(const TopologyProfile& profile,
                                       const EngineOptions& options,
@@ -72,8 +90,7 @@ HierarchicalTuneResult tune_blocked(const TiledProfile& tiled,
   for (std::size_t ci = 0; ci < c; ++ci) {
     leader_ranks[ci] = tiled.clusters()[ci][rep_local[tiled.class_of()[ci]]];
   }
-  const TopologyProfile leaders =
-      tiled.restrict_to(leader_ranks).symmetrized();
+  const TopologyProfile leaders = leader_profile(tiled, leader_ranks);
   const ClusterNode leader_tree =
       build_cluster_tree(leaders, options.clustering, pool);
   ArrivalComposition leader_arrival =
@@ -89,7 +106,7 @@ HierarchicalTuneResult tune_blocked(const TiledProfile& tiled,
       result.leader_self_completing);
 
   // Small plans still get the static deadlock-freedom proof the dense
-  // tuner applies; at 10k the densification it needs is off the table.
+  // tuner applies (see kValidateDenseCap).
   if (result.blocked.ranks() <= kValidateDenseCap) {
     const ValidationResult validation = validate_schedule(StoredSchedule{
         result.blocked.to_dense(),

@@ -2,8 +2,8 @@
 // machines.
 //
 // The dense pipeline (core/tuner.hpp) touches every O/L entry several
-// times — O(P²) clustering distance work and O(P²) stage matrices — so
-// it tops out around a few thousand ranks. On a machine whose profile
+// times — O(P²) clustering distance work on a P x P profile — so it
+// tops out around a few thousand ranks. On a machine whose profile
 // is block-structured (§IV-B: "similar submatrices corresponding to
 // similar subsystems"), almost all of that work is redundant: every
 // cluster of a class would receive the *same* local sub-barrier. The

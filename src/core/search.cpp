@@ -73,14 +73,32 @@ class Searcher {
     }
   }
 
-  StageMatrix stage_from_mask(std::uint64_t mask) const {
-    StageMatrix m(p_, p_, 0);
+  /// The stage whose signals are the mask's edges; edges_ ascends by
+  /// (src, dst), so the signals come out sorted.
+  Stage stage_from_mask(std::uint64_t mask) const {
+    Stage stage;
     for (std::size_t k = 0; k < edges_.size(); ++k) {
       if (mask & (std::uint64_t{1} << k)) {
-        m(edges_[k].first, edges_[k].second) = 1;
+        stage.push_back(Signal{static_cast<std::uint32_t>(edges_[k].first),
+                               static_cast<std::uint32_t>(edges_[k].second)});
       }
     }
-    return m;
+    return stage;
+  }
+
+  /// One Eq. 3 step on the search's dense knowledge matrix, K + K * S:
+  /// every signal k -> j ORs column k of the pre-stage K into column j.
+  BoolMatrix next_knowledge(const BoolMatrix& knowledge,
+                            const Stage& stage) const {
+    BoolMatrix next = knowledge;
+    for (const Signal& signal : stage) {
+      for (std::size_t i = 0; i < p_; ++i) {
+        if (knowledge.at_unchecked(i, signal.src)) {
+          next.at_unchecked(i, signal.dst) = 1;
+        }
+      }
+    }
+    return next;
   }
 
   /// Record a complete barrier; the incumbent is shared, so re-check
@@ -122,17 +140,16 @@ class Searcher {
     }
     const std::uint64_t limit = std::uint64_t{1} << edges_.size();
     for (std::uint64_t mask = 1; mask < limit; ++mask) {
-      StageMatrix stage = stage_from_mask(mask);
+      Stage stage = stage_from_mask(mask);
       predictor.push_stage(stage);
       if (predictor.max_ready() >=
           bound_.load(std::memory_order_relaxed)) {
         predictor.pop_stage();
         continue;  // bound: costs only grow with further stages
       }
-      const BoolMatrix next_knowledge =
-          bool_add(knowledge, bool_multiply(knowledge, stage));
+      const BoolMatrix next = next_knowledge(knowledge, stage);
       prefix.append_stage(std::move(stage));
-      dfs(prefix, next_knowledge, predictor);
+      dfs(prefix, next, predictor);
       prefix.pop_stage();
       predictor.pop_stage();
     }
@@ -155,15 +172,14 @@ class Searcher {
             return;
           }
           const std::uint64_t mask = static_cast<std::uint64_t>(index) + 1;
-          StageMatrix stage = stage_from_mask(mask);
+          Stage stage = stage_from_mask(mask);
           IncrementalPredictor predictor(profile_);
           predictor.push_stage(stage);
           if (predictor.max_ready() >=
               bound_.load(std::memory_order_relaxed)) {
             return;
           }
-          const BoolMatrix knowledge =
-              bool_add(identity, bool_multiply(identity, stage));
+          const BoolMatrix knowledge = next_knowledge(identity, stage);
           Schedule prefix(p_);
           prefix.append_stage(std::move(stage));
           dfs(prefix, knowledge, predictor);

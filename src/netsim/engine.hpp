@@ -16,7 +16,7 @@
 //     spikes (the paper ran under per-node-exclusive but otherwise shared
 //     conditions, Section IV-B);
 //   - one-sided (RMA put) edges, where the schedule tags them
-//     (Schedule::transport): the put shares the sender's serial
+//     (Signal::one_sided): the put shares the sender's serial
 //     injection and egress slots like any signal, but its startup is the
 //     local O(i,i) and it lands as a remote flag write R(src,dst) after
 //     clearing the NIC — no receiver-side completion processing, and in

@@ -147,8 +147,9 @@ class TiledProfile {
   /// the whole point of the tiled form is never doing this at 10k).
   TopologyProfile to_dense() const;
 
-  /// Dense submatrix over an arbitrary ordered rank subset, built from
-  /// the accessors. Used for leader profiles and small-P interop.
+  /// Dense submatrix over an arbitrary ordered rank subset, all planes,
+  /// built from the accessors (to_dense() and small-P interop; the
+  /// hierarchical tuner builds its O/L-only leader profile itself).
   TopologyProfile restrict_to(const std::vector<std::size_t>& ranks) const;
 
   /// Exact bytes held by the representation (tiles + scalars + maps).

@@ -1,7 +1,6 @@
 #include "rma/transport.hpp"
 
 #include <cstdint>
-#include <span>
 
 #include "barrier/compiled_schedule.hpp"
 #include "util/error.hpp"
@@ -55,9 +54,7 @@ double assign_transports(Schedule& schedule, const TopologyProfile& profile,
   PredictOptions options;
   options.awaited_stages = awaited_stages;
   for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-    schedule.set_transport(s, policy == Transport::kOneSided
-                                  ? schedule.stage(s)
-                                  : StageMatrix());
+    schedule.set_all_one_sided(s, policy == Transport::kOneSided);
   }
   if (policy != Transport::kHybrid) {
     return predicted_time(schedule, profile, options);
@@ -147,19 +144,16 @@ double assign_transports(Schedule& schedule, const TopologyProfile& profile,
     });
   }
 
-  // Write the surviving tags back, one set_transport() per stage.
+  // Write the surviving tags back. A stage's rows ascend by rank and each
+  // row's targets ascend, so its target edges line up one to one with
+  // the stage's (src, dst)-sorted signals.
   for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-    StageMatrix tags(p, p, 0);
+    std::size_t k = 0;
     for (std::size_t r = compiled.row_begin(s); r < compiled.row_end(s); ++r) {
-      const std::span<const CompiledSchedule::Rank> targets =
-          compiled.targets(r);
-      const std::span<const std::uint8_t> one_sided =
-          compiled.target_one_sided(r);
-      for (std::size_t k = 0; k < targets.size(); ++k) {
-        tags(compiled.row_rank(r), targets[k]) = one_sided[k];
+      for (const std::uint8_t put : compiled.target_one_sided(r)) {
+        schedule.set_one_sided(s, k++, put != 0);
       }
     }
-    schedule.set_transport(s, std::move(tags));
   }
   return best;
 }

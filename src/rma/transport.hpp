@@ -28,8 +28,8 @@
 //               plus one compiled evaluation, bit-identical to
 //               recompiling the re-tagged schedule. The tags live in
 //               the compiled CSR during the search and are written
-//               back into the Schedule once, one set_transport() per
-//               stage, at the end. The whole procedure is
+//               back onto the Schedule's signals once, at the end. The
+//               whole procedure is
 //               deterministic (stages ascending, edges in (src, dst)
 //               scan order).
 #pragma once

@@ -13,18 +13,16 @@ StagedExecutor::Table signal_edges(const Schedule& schedule) {
   const std::size_t p = schedule.ranks();
   const std::size_t stages = schedule.stage_count();
   StagedExecutor::Table table(p, std::vector<StageEdges>(stages));
-  for (std::size_t r = 0; r < p; ++r) {
-    for (std::size_t s = 0; s < stages; ++s) {
-      // Signals carry no words; the transport tag picks issend/irecv
-      // (untagged) or put/flag (one-sided).
-      for (std::size_t dst : schedule.targets_of(r, s)) {
-        table[r][s].out.push_back(
-            StagedEdge{.peer = dst, .put = schedule.one_sided(s, r, dst)});
-      }
-      for (std::size_t src : schedule.sources_of(r, s)) {
-        table[r][s].in.push_back(
-            StagedEdge{.peer = src, .put = schedule.one_sided(s, src, r)});
-      }
+  for (std::size_t s = 0; s < stages; ++s) {
+    // Signals carry no words; the transport tag picks issend/irecv
+    // (two-sided) or put/flag (one-sided). The signals ascend by (src,
+    // dst), so each rank's outgoing list ascends by target and its
+    // incoming list by source, the apply order the core requires.
+    for (const Signal& signal : schedule.stage(s)) {
+      table[signal.src][s].out.push_back(
+          StagedEdge{.peer = signal.dst, .put = signal.one_sided});
+      table[signal.dst][s].in.push_back(
+          StagedEdge{.peer = signal.src, .put = signal.one_sided});
     }
   }
   return table;

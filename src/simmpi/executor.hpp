@@ -10,11 +10,11 @@
 //  and awaiting completion of all issued requests."
 //
 // ScheduleExecutor is the barrier view of that interpreter: it checks
-// the schedule is a barrier, translates each rank's stage rows of the
-// incidence matrices into the staged-edge core's signal edges
-// (staged_executor.hpp, count 0), and forwards the handle lifecycle —
-// post/test/wait, the resilient variants and run_once — to the core.
-// Edges the schedule tags one-sided (Schedule::transport) become RMA
+// the schedule is a barrier, translates each stage's signals into the
+// staged-edge core's per-rank signal edges (staged_executor.hpp, count
+// 0), and forwards the handle lifecycle — post/test/wait, the resilient
+// variants and run_once — to the core. Signals the schedule tags
+// one-sided (Signal::one_sided) become RMA
 // flag puts into the receiver's window instead of issend/irecv pairs;
 // an untagged schedule touches no window state.
 #pragma once
@@ -47,6 +47,8 @@ class ScheduleExecutor {
   std::size_t ranks() const { return core_.ranks(); }
   std::size_t stage_count() const { return core_.stage_count(); }
   const ExecutorOptions& options() const { return core_.options(); }
+  /// The per-rank signal edges the schedule translated into.
+  const StagedExecutor::Table& table() const { return core_.table(); }
 
   /// Post one barrier episode for this rank: issue stage 0 and return.
   /// `episode` distinguishes repeated invocations in the tag space.

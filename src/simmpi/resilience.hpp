@@ -25,6 +25,7 @@
 
 #include "barrier/schedule.hpp"
 #include "simmpi/request.hpp"
+#include "util/matrix.hpp"
 
 namespace optibar::simmpi {
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <climits>
+#include <memory>
+#include <new>
+#include <span>
 #include <thread>
 
 #include "rma/layout.hpp"
@@ -56,7 +59,7 @@ Request recv_edge(RankContext& ctx, const StagedEdge& edge, int tag,
 
 // Apply a completed stage's received words, in ascending source order
 // (the incoming list's order).
-void apply_stage(const StageEdges& edges, const std::vector<Payload>& inbox,
+void apply_stage(const StageEdges& edges, std::span<const Payload> inbox,
                  ReduceOp op, Payload& buffer) {
   for (std::size_t k = 0; k < edges.in.size(); ++k) {
     const StagedEdge& edge = edges.in[k];
@@ -100,6 +103,73 @@ std::size_t receiver_slot(const std::vector<StagedEdge>& in,
 }
 
 }  // namespace
+
+/// The in-flight state of one rank's episode: this header followed, in
+/// the same allocation, by fixed-capacity arrays of requests, flag waits
+/// and inbox payloads sized from the rank's RankCapacity. Stages reuse
+/// the arrays; nothing grows after post().
+struct StagedExecutor::EpisodeHandle::State {
+  RankCapacity capacity;
+  RankContext* ctx = nullptr;
+  Payload* buffer = nullptr;  ///< null on signal-only executors
+  ReduceOp op = ReduceOp::kSum;
+  int episode = 0;
+  std::size_t stage = 0;     ///< stage whose ops are in flight
+  std::size_t rma_base = 0;  ///< this executor's window region base
+  Request* requests = nullptr;  ///< the current stage's two-sided ops
+  std::size_t request_count = 0;
+  Communicator::FlagWait* flags = nullptr;  ///< its awaited one-sided flags
+  std::size_t flag_count = 0;
+  /// Landing zone of a payload stage's receives, indexed like the
+  /// stage's incoming edges; live only while inbox_live.
+  Payload* inbox = nullptr;
+  bool inbox_live = false;
+
+  std::span<const Request> live_requests() const {
+    return {requests, request_count};
+  }
+  std::span<const Communicator::FlagWait> live_flags() const {
+    return {flags, flag_count};
+  }
+
+  static State* create(const RankCapacity& capacity) {
+    // Every element type is pointer-aligned, so the arrays pack back to
+    // back after the header.
+    static_assert(alignof(Request) <= alignof(State) &&
+                  alignof(Communicator::FlagWait) <= alignof(Request) &&
+                  alignof(Payload) <= alignof(Communicator::FlagWait));
+    auto* raw = static_cast<unsigned char*>(::operator new(
+        sizeof(State) + capacity.requests * sizeof(Request) +
+        capacity.flags * sizeof(Communicator::FlagWait) +
+        capacity.inbox * sizeof(Payload)));
+    auto* state = new (raw) State{.capacity = capacity};
+    unsigned char* at = raw + sizeof(State);
+    state->requests = static_cast<Request*>(static_cast<void*>(at));
+    std::uninitialized_value_construct_n(state->requests, capacity.requests);
+    at += capacity.requests * sizeof(Request);
+    state->flags = static_cast<Communicator::FlagWait*>(static_cast<void*>(at));
+    std::uninitialized_value_construct_n(state->flags, capacity.flags);
+    at += capacity.flags * sizeof(Communicator::FlagWait);
+    state->inbox = static_cast<Payload*>(static_cast<void*>(at));
+    std::uninitialized_value_construct_n(state->inbox, capacity.inbox);
+    return state;
+  }
+
+  static void destroy(State* state) {
+    std::destroy_n(state->requests, state->capacity.requests);
+    std::destroy_n(state->flags, state->capacity.flags);
+    std::destroy_n(state->inbox, state->capacity.inbox);
+    state->~State();
+    ::operator delete(static_cast<void*>(state));
+  }
+};
+
+void StagedExecutor::EpisodeHandle::release() {
+  if (state_ != 0 && state_ != kFinished) {
+    State::destroy(state());
+    state_ = 0;
+  }
+}
 
 StagedExecutor::StagedExecutor(Table table, std::size_t stages,
                                std::size_t elem_count,
@@ -147,6 +217,19 @@ StagedExecutor::StagedExecutor(Table table, std::size_t stages,
   }
   for (const std::size_t count : in_puts) {
     window_slots_ = std::max(window_slots_, count);
+  }
+  capacity_.resize(p);
+  for (std::size_t r = 0; r < p; ++r) {
+    for (const StageEdges& edges : table_[r]) {
+      const StageShape shape = shape_of(edges);
+      RankCapacity& capacity = capacity_[r];
+      capacity.requests =
+          std::max(capacity.requests, shape.sends + shape.recvs);
+      capacity.flags = std::max(capacity.flags, shape.flags);
+      if (shape.payload) {
+        capacity.inbox = std::max(capacity.inbox, edges.in.size());
+      }
+    }
   }
   if (options_.shared_pool != nullptr) {
     OPTIBAR_REQUIRE(options_.shared_pool->size() >= p,
@@ -233,58 +316,62 @@ void StagedExecutor::begin_stage(EpisodeHandle& handle,
   if (stage == stages_) {
     // A finished handle owns no heap storage, like a request MPI_Test
     // freed on completion.
-    handle.done_ = true;
-    std::vector<Request>().swap(handle.requests_);
-    std::vector<Communicator::FlagWait>().swap(handle.flags_);
-    std::vector<Payload>().swap(handle.inbox_);
+    handle.release();
+    handle.state_ = EpisodeHandle::kFinished;
     return;
   }
-  handle.stage_ = stage;
-  RankContext& ctx = *handle.ctx_;
+  EpisodeHandle::State& state = *handle.state();
+  state.stage = stage;
+  RankContext& ctx = *state.ctx;
   const StageEdges& edges = table_[ctx.rank()][stage];
   const StageShape shape = shape_of(edges);
-  const int t = tag(handle.episode_, stage);
+  const int t = tag(state.episode, stage);
+  // The previous stage's requests are complete; drop their shared state.
+  for (std::size_t k = 0; k < state.request_count; ++k) {
+    state.requests[k].reset();
+  }
+  state.request_count = 0;
   // Sends, then puts, then recvs — the op order the blocking path has
   // always used; reordering would break wait(post()) == execute().
   // Puts are outbound like sends but complete locally at issue and
   // produce no request.
-  handle.requests_.clear();
-  handle.requests_.reserve(shape.sends + shape.recvs);
   for (const StagedEdge& edge : edges.out) {
     if (!edge.put) {
-      handle.requests_.push_back(send_edge(ctx, edge, t, handle.buffer_));
+      state.requests[state.request_count++] =
+          send_edge(ctx, edge, t, state.buffer);
     }
   }
-  handle.flags_.clear();
+  state.flag_count = 0;
   if (window_slots_ > 0) {
-    issue_puts(ctx, edges, stage, handle.episode_, handle.rma_base_);
-    handle.flags_.reserve(shape.flags);
+    issue_puts(ctx, edges, stage, state.episode, state.rma_base);
     for (const StagedEdge& edge : edges.in) {
       if (edge.put) {
-        handle.flags_.push_back(Communicator::FlagWait{
-            flag_word(handle.rma_base_, handle.episode_, edge),
-            rma::flag_value(static_cast<std::size_t>(handle.episode_))});
+        state.flags[state.flag_count++] = Communicator::FlagWait{
+            flag_word(state.rma_base, state.episode, edge),
+            rma::flag_value(static_cast<std::size_t>(state.episode))};
       }
     }
   }
-  handle.inbox_.clear();
-  if (shape.payload) {
-    handle.inbox_.resize(edges.in.size());
-  }
+  state.inbox_live = shape.payload;
   for (std::size_t k = 0; k < edges.in.size(); ++k) {
+    if (shape.payload) {
+      state.inbox[k].clear();  // a signal edge of the stage lands nothing
+    }
     if (!edges.in[k].put) {
-      handle.requests_.push_back(recv_edge(
-          ctx, edges.in[k], t, shape.payload ? &handle.inbox_[k] : nullptr));
+      state.requests[state.request_count++] = recv_edge(
+          ctx, edges.in[k], t, shape.payload ? &state.inbox[k] : nullptr);
     }
   }
 }
 
 void StagedExecutor::advance(EpisodeHandle& handle) const {
-  if (!handle.inbox_.empty()) {
-    apply_stage(table_[handle.ctx_->rank()][handle.stage_], handle.inbox_,
-                handle.op_, *handle.buffer_);
+  EpisodeHandle::State& state = *handle.state();
+  if (state.inbox_live) {
+    const StageEdges& edges = table_[state.ctx->rank()][state.stage];
+    apply_stage(edges, {state.inbox, edges.in.size()}, state.op,
+                *state.buffer);
   }
-  begin_stage(handle, handle.stage_ + 1);
+  begin_stage(handle, state.stage + 1);
 }
 
 StagedExecutor::EpisodeHandle StagedExecutor::post(RankContext& ctx,
@@ -294,52 +381,60 @@ StagedExecutor::EpisodeHandle StagedExecutor::post(RankContext& ctx,
   check_context(ctx, buffer);
   check_episode(episode);
   EpisodeHandle handle;
-  handle.ctx_ = &ctx;
-  handle.buffer_ = buffer;
-  handle.op_ = op;
-  handle.episode_ = episode;
+  if (stages_ == 0) {
+    handle.state_ = EpisodeHandle::kFinished;
+    return handle;
+  }
+  EpisodeHandle::State* state =
+      EpisodeHandle::State::create(capacity_[ctx.rank()]);
+  handle.state_ = reinterpret_cast<std::uintptr_t>(state);
+  state->ctx = &ctx;
+  state->buffer = buffer;
+  state->op = op;
+  state->episode = episode;
   if (window_slots_ > 0) {
-    handle.rma_base_ = rma_base(ctx, episode);
+    state->rma_base = rma_base(ctx, episode);
   }
   begin_stage(handle, 0);
   return handle;
 }
 
 bool StagedExecutor::test(EpisodeHandle& handle) const {
-  if (handle.done_) {
+  if (handle.done()) {
     return true;
   }
-  OPTIBAR_REQUIRE(handle.ctx_ != nullptr, "test() on an empty handle");
+  OPTIBAR_REQUIRE(handle.state_ != 0, "test() on an empty handle");
   for (;;) {
-    for (const Request& request : handle.requests_) {
+    const EpisodeHandle::State& state = *handle.state();
+    for (const Request& request : state.live_requests()) {
       if (!request->test()) {
         return false;
       }
     }
-    for (const Communicator::FlagWait& flag : handle.flags_) {
-      if (!handle.ctx_->rma_test(flag.word, flag.expected)) {
+    for (const Communicator::FlagWait& flag : state.live_flags()) {
+      if (!state.ctx->rma_test(flag.word, flag.expected)) {
         return false;
       }
     }
     advance(handle);
-    if (handle.done_) {
+    if (handle.done()) {
       return true;
     }
   }
 }
 
 void StagedExecutor::wait(EpisodeHandle& handle) const {
-  if (handle.done_) {
+  if (handle.done()) {
     return;
   }
-  OPTIBAR_REQUIRE(handle.ctx_ != nullptr, "wait() on an empty handle");
-  while (!handle.done_) {
+  OPTIBAR_REQUIRE(handle.state_ != 0, "wait() on an empty handle");
+  while (!handle.done()) {
     // One bounded progress slice: park on this rank's shard condvar
     // until the stage's requests matched and flags arrived, or the
     // slice expires; then advance a stage or park again.
-    if (handle.ctx_->wait_stage_until(
-            handle.requests_, handle.flags_,
-            Clock::now() + options_.progress_slice)) {
+    const EpisodeHandle::State& state = *handle.state();
+    if (state.ctx->wait_stage_until(state.live_requests(), state.live_flags(),
+                                    Clock::now() + options_.progress_slice)) {
       advance(handle);
     }
   }

@@ -44,7 +44,9 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "simmpi/executor_options.hpp"
@@ -77,37 +79,44 @@ class StagedExecutor {
   /// table[rank][stage].
   using Table = std::vector<std::vector<StageEdges>>;
 
-  /// One in-flight episode of one rank. Move-only: the handle owns the
-  /// current stage's requests and inbox. A buffer passed to post() is
+  /// One in-flight episode of one rank. Move-only and pointer-sized: the
+  /// handle owns one allocation, made by post(), that holds the rank's
+  /// in-flight state — the current stage's requests, awaited flags and
+  /// payload inbox, sized once from the rank's largest stage — and frees
+  /// it when the episode finishes. A buffer passed to post() is
   /// transformed in place and must stay alive (at a stable address)
   /// until the episode is done.
   class EpisodeHandle {
    public:
     EpisodeHandle() = default;
-    EpisodeHandle(EpisodeHandle&&) = default;
-    EpisodeHandle& operator=(EpisodeHandle&&) = default;
+    EpisodeHandle(EpisodeHandle&& other) noexcept
+        : state_(std::exchange(other.state_, 0)) {}
+    EpisodeHandle& operator=(EpisodeHandle&& other) noexcept {
+      if (this != &other) {
+        release();
+        state_ = std::exchange(other.state_, 0);
+      }
+      return *this;
+    }
     EpisodeHandle(const EpisodeHandle&) = delete;
     EpisodeHandle& operator=(const EpisodeHandle&) = delete;
+    ~EpisodeHandle() { release(); }
 
     /// True once every stage completed.
-    bool done() const { return done_; }
+    bool done() const { return state_ == kFinished; }
 
    private:
     friend class StagedExecutor;
-    RankContext* ctx_ = nullptr;
-    Payload* buffer_ = nullptr;  ///< null on signal-only executors
-    ReduceOp op_ = ReduceOp::kSum;
-    int episode_ = 0;
-    std::size_t stage_ = 0;          ///< stage whose ops are in flight
-    std::vector<Request> requests_;  ///< current stage's two-sided ops
-    /// Awaited one-sided flags of the current stage.
-    std::vector<Communicator::FlagWait> flags_;
-    /// Landing zone of the current stage's payload receives, indexed
-    /// like the stage's incoming edges (stable element addresses across
-    /// handle moves); empty on signal-only stages.
-    std::vector<Payload> inbox_;
-    std::size_t rma_base_ = 0;  ///< this executor's window region base
-    bool done_ = false;
+    struct State;
+    static constexpr std::uintptr_t kFinished = 1;
+
+    State* state() const { return reinterpret_cast<State*>(state_); }
+    /// Free the in-flight state, if any; the handle keeps its done flag.
+    void release();
+
+    /// 0: empty (never posted); kFinished: done, nothing owned;
+    /// otherwise the address of the in-flight State.
+    std::uintptr_t state_ = 0;
   };
 
   /// One in-flight bounded-wait episode. Deadlines are charged by
@@ -191,6 +200,8 @@ class StagedExecutor {
   std::size_t ranks() const { return table_.size(); }
   std::size_t stage_count() const { return stages_; }
   const ExecutorOptions& options() const { return options_; }
+  /// The edge table, with window slots stamped.
+  const Table& table() const { return table_; }
 
   /// Issue stage 0 of one episode and return without waiting.
   /// `episode` distinguishes repeated invocations in the tag space.
@@ -282,7 +293,16 @@ class StagedExecutor {
   void progress_resilient(ResilientEpisodeHandle& handle,
                           Clock::duration slice) const;
 
+  /// The most any stage of one rank posts: requests (two-sided sends
+  /// plus receives), awaited flags, and inbox slots (payload executors).
+  struct RankCapacity {
+    std::size_t requests = 0;
+    std::size_t flags = 0;
+    std::size_t inbox = 0;
+  };
+
   Table table_;
+  std::vector<RankCapacity> capacity_;  ///< per rank, sizes post()'s state
   std::size_t stages_ = 0;
   std::size_t elem_count_ = 0;
   ExecutorOptions options_;

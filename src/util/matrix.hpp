@@ -2,9 +2,11 @@
 //
 // Two instantiations carry the whole paper:
 //   Matrix<double>  — the O and L cost matrices of the topological model
-//   BoolMatrix      — the boolean incidence matrices S_0..S_k of the
-//                     algorithmic model (stored as uint8_t; arithmetic is
-//                     over the boolean semiring where + is OR and * is AND)
+//   BoolMatrix      — boolean matrices over the semiring where + is OR
+//                     and * is AND (stored as uint8_t): the search's
+//                     knowledge masks and the StallReport's delivered
+//                     knowledge. Barrier stages themselves are sorted
+//                     edge lists (barrier/schedule.hpp).
 //
 // The class is intentionally a plain value type: cheap to copy at the
 // sizes involved (P <= a few hundred), regular, and hashable by content.
@@ -192,20 +194,6 @@ inline BoolMatrix bool_multiply(const BoolMatrix& a, const BoolMatrix& b) {
           c.at_unchecked(i, j) = 1;
         }
       }
-    }
-  }
-  return c;
-}
-
-/// Boolean matrix sum (element-wise OR).
-inline BoolMatrix bool_add(const BoolMatrix& a, const BoolMatrix& b) {
-  OPTIBAR_REQUIRE(a.rows() == b.rows() && a.cols() == b.cols(),
-                  "dimension mismatch in bool_add");
-  BoolMatrix c(a.rows(), a.cols(), 0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      c.at_unchecked(i, j) =
-          static_cast<std::uint8_t>(a.at_unchecked(i, j) || b.at_unchecked(i, j));
     }
   }
   return c;

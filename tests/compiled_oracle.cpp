@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "dense_schedule_oracle.hpp"
 #include "util/error.hpp"
 
 namespace optibar::oracle {
@@ -47,9 +48,10 @@ void CompiledSchedule::compile(const Schedule& schedule,
   }
 
   for (std::size_t s = 0; s < stages_; ++s) {
-    const StageMatrix& m = schedule.stage(s);
-    const StageMatrix& t = schedule.transport(s);
-    const bool mixed = !t.empty();
+    // The dense cells of the stage and of its one-sided subset.
+    const oracle::StageMatrix m = oracle::stage_matrix(schedule, s);
+    const oracle::StageMatrix t = oracle::transport_matrix(schedule, s);
+    const bool mixed = !t.all_zero();
     // Target rows: same ascending-j order as Schedule::targets_of, so
     // the L sum below accumulates in exactly the reference order.
     for (std::size_t i = 0; i < p_; ++i) {

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "barrier/validate.hpp"
+#include "dense_schedule_oracle.hpp"
 #include "util/error.hpp"
 
 namespace optibar::oracle {
@@ -313,7 +314,7 @@ StoredSchedule load_schedule(std::istream& is) {
                                                << kScheduleMaxStages << ")");
 
   StoredSchedule out;
-  out.schedule = Schedule(p);
+  DenseSchedule dense(p);
   is >> tag;
   OPTIBAR_IO_REQUIRE(!is.fail() && tag == "awaited",
                      "malformed schedule header (awaited)");
@@ -348,7 +349,7 @@ StoredSchedule load_schedule(std::istream& is) {
                        "truncated schedule: stage S" << st << " missing");
     OPTIBAR_IO_REQUIRE(tag == "S" + std::to_string(st),
                        "expected stage tag S" << st << ", got " << tag);
-    out.schedule.append_stage(read_matrix("stage S", st));
+    dense.append_stage(read_matrix("stage S", st));
     if (v2) {
       is >> tag;
       OPTIBAR_IO_REQUIRE(!is.fail(), "truncated schedule: transport T"
@@ -357,11 +358,12 @@ StoredSchedule load_schedule(std::istream& is) {
                          "expected transport tag T" << st << ", got " << tag);
       // set_transport validates transport(i,j) => stage(i,j) and
       // normalizes all-zero to the empty (two-sided) spelling.
-      out.schedule.set_transport(st, read_matrix("transport T", st));
+      dense.set_transport(st, read_matrix("transport T", st));
     }
   }
   OPTIBAR_IO_REQUIRE(is.good() || is.eof(),
                      "I/O error while reading schedule");
+  out.schedule = to_edges(dense);
 
   // Safety gate: refuse plans that could hang a runtime. Non-barrier
   // patterns still load — analysis/validate commands inspect those —

@@ -6,6 +6,7 @@
 #include "barrier/algorithms.hpp"
 #include "barrier/cost_model.hpp"
 #include "core/tuner.hpp"
+#include "dense_schedule_oracle.hpp"
 #include "netsim/engine.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
@@ -59,27 +60,27 @@ TEST(Asymmetric, PredictorUsesDirectedCosts) {
   const TopologyProfile p = imbalanced_pair(1e-6, 1e-4);
   // Signal along the fast direction.
   Schedule fast(2);
-  StageMatrix mf(2, 2, 0);
+  oracle::StageMatrix mf(2, 2, 0);
   mf(0, 1) = 1;
-  fast.append_stage(std::move(mf));
+  fast.append_stage(oracle::stage_from_matrix(mf));
   // Signal along the slow direction.
   Schedule slow(2);
-  StageMatrix ms(2, 2, 0);
+  oracle::StageMatrix ms(2, 2, 0);
   ms(1, 0) = 1;
-  slow.append_stage(std::move(ms));
+  slow.append_stage(oracle::stage_from_matrix(ms));
   EXPECT_LT(predicted_time(fast, p), predicted_time(slow, p) / 50.0);
 }
 
 TEST(Asymmetric, NetsimUsesDirectedCosts) {
   const TopologyProfile p = imbalanced_pair(1e-6, 1e-4);
   Schedule fast(2);
-  StageMatrix mf(2, 2, 0);
+  oracle::StageMatrix mf(2, 2, 0);
   mf(0, 1) = 1;
-  fast.append_stage(std::move(mf));
+  fast.append_stage(oracle::stage_from_matrix(mf));
   Schedule slow(2);
-  StageMatrix ms(2, 2, 0);
+  oracle::StageMatrix ms(2, 2, 0);
   ms(1, 0) = 1;
-  slow.append_stage(std::move(ms));
+  slow.append_stage(oracle::stage_from_matrix(ms));
   EXPECT_LT(simulate(fast, p).completion_time(),
             simulate(slow, p).completion_time() / 50.0);
 }

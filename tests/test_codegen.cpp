@@ -11,6 +11,7 @@
 
 #include "barrier/algorithms.hpp"
 #include "core/tuner.hpp"
+#include "dense_schedule_oracle.hpp"
 #include "simmpi/executor.hpp"
 #include "simmpi/runtime.hpp"
 #include "topology/generate.hpp"
@@ -31,9 +32,9 @@ TEST(Codegen, RejectsInvalidFunctionNames) {
 
 TEST(Codegen, RejectsNonBarrier) {
   Schedule s(2);
-  StageMatrix m(2, 2, 0);
+  oracle::StageMatrix m(2, 2, 0);
   m(0, 1) = 1;
-  s.append_stage(std::move(m));
+  s.append_stage(oracle::stage_from_matrix(m));
   EXPECT_THROW(generate_cpp(s, "bad"), Error);
 }
 
@@ -121,9 +122,9 @@ TEST(MpiCodegen, RequestArraySizedToWorstStage) {
 TEST(MpiCodegen, RejectsBadInput) {
   EXPECT_THROW(generate_mpi_c(linear_barrier(2), "1bad"), Error);
   Schedule s(2);
-  StageMatrix m(2, 2, 0);
+  oracle::StageMatrix m(2, 2, 0);
   m(0, 1) = 1;
-  s.append_stage(std::move(m));
+  s.append_stage(oracle::stage_from_matrix(m));
   EXPECT_THROW(generate_mpi_c(s, "not_a_barrier"), Error);
 }
 

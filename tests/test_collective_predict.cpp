@@ -11,6 +11,7 @@
 #include "barrier/algorithms.hpp"
 #include "barrier/cost_model.hpp"
 #include "collective/generators.hpp"
+#include "dense_schedule_oracle.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
 #include "topology/mapping.hpp"
@@ -29,7 +30,7 @@ Schedule random_schedule(std::size_t p, Rng& rng) {
   Schedule s(p);
   const std::size_t stages = 1 + rng.next_below(5);
   for (std::size_t st = 0; st < stages; ++st) {
-    StageMatrix m(p, p, 0);
+    oracle::StageMatrix m(p, p, 0);
     for (std::size_t i = 0; i < p; ++i) {
       const std::size_t fan_out = rng.next_below(4);
       for (std::size_t k = 0; k < fan_out; ++k) {
@@ -39,7 +40,7 @@ Schedule random_schedule(std::size_t p, Rng& rng) {
         }
       }
     }
-    s.append_stage(std::move(m));
+    s.append_stage(oracle::stage_from_matrix(m));
   }
   return s;
 }

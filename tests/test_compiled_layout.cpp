@@ -24,6 +24,7 @@
 #include "collective/predict.hpp"
 #include "compiled_oracle.hpp"
 #include "core/hierarchical.hpp"
+#include "dense_schedule_oracle.hpp"
 #include "netsim/engine.hpp"
 #include "profile/generate_tiled.hpp"
 #include "rma/transport.hpp"
@@ -220,8 +221,8 @@ Schedule random_schedule(std::size_t p, bool tagged, Rng& rng) {
   Schedule schedule(p);
   const std::size_t stages = rng.next_below(7);
   for (std::size_t s = 0; s < stages; ++s) {
-    StageMatrix m(p, p, 0);
-    StageMatrix t(p, p, 0);
+    oracle::StageMatrix m(p, p, 0);
+    oracle::StageMatrix t(p, p, 0);
     const std::size_t max_fan_out = rng.next_below(3) == 0 ? 0 : 1 + p / 2;
     for (std::size_t i = 0; i < p; ++i) {
       const std::size_t fan_out = rng.next_below(max_fan_out + 1);
@@ -233,15 +234,15 @@ Schedule random_schedule(std::size_t p, bool tagged, Rng& rng) {
         }
       }
     }
-    schedule.append_stage(m);
+    schedule.append_stage(oracle::stage_from_matrix(m));
     if (tagged) {
-      StageMatrix tags(p, p, 0);
+      oracle::StageMatrix tags(p, p, 0);
       for (std::size_t i = 0; i < p; ++i) {
         for (std::size_t j = 0; j < p; ++j) {
           tags(i, j) = m(i, j) != 0 && t(i, j) != 0 ? 1 : 0;
         }
       }
-      schedule.set_transport(s, std::move(tags));
+      oracle::set_transport(schedule, s, std::move(tags));
     }
   }
   return schedule;
@@ -268,7 +269,7 @@ TEST(CompiledLayout, RandomTaggedSchedulesMatchTheDenseLayout) {
       predict.expect_same(compiled, reference, options, where);
     }
     for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-      empty_stages += schedule.stage(s).all_zero() ? 1 : 0;
+      empty_stages += schedule.stage(s).empty() ? 1 : 0;
     }
     puts += schedule.one_sided_signal_count();
   }
@@ -293,8 +294,8 @@ TEST(CompiledLayout, SetOneSidedPatchesMatchTheDenseLayout) {
     CompiledSchedule patched(untagged, profile);
     oracle::CompiledSchedule reference(untagged, profile);
     Schedule tagged = untagged;
-    std::vector<StageMatrix> tags(untagged.stage_count(),
-                                  StageMatrix(p, p, 0));
+    std::vector<oracle::StageMatrix> tags(untagged.stage_count(),
+                                          oracle::StageMatrix(p, p, 0));
     const std::vector<PredictOptions> variants =
         option_variants(p, untagged.stage_count(), {}, rng);
     for (std::size_t step = 0; step < 24; ++step) {
@@ -309,7 +310,7 @@ TEST(CompiledLayout, SetOneSidedPatchesMatchTheDenseLayout) {
       patched.set_one_sided(s, i, k, put, profile);
       reference.set_one_sided(s, i, k, put, profile);
       tags[s](i, reference.targets(i, s)[k]) = put ? 1 : 0;
-      tagged.set_transport(s, tags[s]);
+      oracle::set_transport(tagged, s, tags[s]);
       fresh.compile(tagged, profile);
       const std::string where =
           "seed " + std::to_string(seed) + " step " + std::to_string(step);

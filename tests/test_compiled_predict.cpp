@@ -18,6 +18,7 @@
 
 #include "barrier/algorithms.hpp"
 #include "barrier/cost_model.hpp"
+#include "dense_schedule_oracle.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
 #include "netsim/engine.hpp"
@@ -35,7 +36,7 @@ Schedule random_schedule(std::size_t p, Rng& rng) {
   Schedule s(p);
   const std::size_t stages = rng.next_below(6);
   for (std::size_t st = 0; st < stages; ++st) {
-    StageMatrix m(p, p, 0);
+    oracle::StageMatrix m(p, p, 0);
     for (std::size_t i = 0; i < p; ++i) {
       const std::size_t fan_out = rng.next_below(4);
       for (std::size_t k = 0; k < fan_out; ++k) {
@@ -45,7 +46,7 @@ Schedule random_schedule(std::size_t p, Rng& rng) {
         }
       }
     }
-    s.append_stage(std::move(m));
+    s.append_stage(oracle::stage_from_matrix(m));
   }
   return s;
 }
@@ -153,7 +154,8 @@ void check_patch_sequence(const Schedule& schedule,
   }
   CompiledSchedule patched(schedule, profile);
   Schedule tagged = schedule;
-  std::vector<StageMatrix> tags(schedule.stage_count(), StageMatrix(p, p, 0));
+  std::vector<oracle::StageMatrix> tags(schedule.stage_count(),
+                                        oracle::StageMatrix(p, p, 0));
   CompiledSchedule fresh;
   PredictWorkspace workspace;
   Prediction out;
@@ -164,7 +166,7 @@ void check_patch_sequence(const Schedule& schedule,
     coverage.multi_target_rows += degree >= 2 ? 1 : 0;
     tags[s](i, patched.targets(patched.row(i, s))[k]) = put ? 1 : 0;
     patched.set_one_sided(s, i, k, put, profile);
-    tagged.set_transport(s, tags[s]);
+    oracle::set_transport(tagged, s, tags[s]);
     fresh.compile(tagged, profile);
     expect_same_tagging(patched, fresh);
     predict_into(patched, options, workspace, out);
@@ -346,7 +348,7 @@ TEST(IncrementalPredictor, MatchesFullPredictUnderPushPop) {
         predictor.pop_stage();
         prefix.pop_stage();
       } else {
-        StageMatrix m(p, p, 0);
+        oracle::StageMatrix m(p, p, 0);
         for (std::size_t i = 0; i < p; ++i) {
           const std::size_t fan_out = rng.next_below(3);
           for (std::size_t k = 0; k < fan_out; ++k) {
@@ -356,8 +358,8 @@ TEST(IncrementalPredictor, MatchesFullPredictUnderPushPop) {
             }
           }
         }
-        predictor.push_stage(m);
-        prefix.append_stage(std::move(m));
+        predictor.push_stage(oracle::stage_from_matrix(m));
+        prefix.append_stage(oracle::stage_from_matrix(m));
       }
       ASSERT_EQ(predictor.depth(), prefix.stage_count());
       const Prediction full = predict_reference(prefix, profile, {});

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "barrier/algorithms.hpp"
+#include "dense_schedule_oracle.hpp"
 #include "netsim/engine.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
@@ -64,9 +65,9 @@ TEST(StepCost, Equation2IsCheaperWhenReceiversWait) {
 TEST(Predict, SingleSignalCost) {
   const TopologyProfile p = uniform_profile(2, 1e-5, 1e-6, 1e-6);
   Schedule s(2);
-  StageMatrix m(2, 2, 0);
+  oracle::StageMatrix m(2, 2, 0);
   m(0, 1) = 1;
-  s.append_stage(std::move(m));
+  s.append_stage(oracle::stage_from_matrix(m));
   // Sender batch O + L, plus receiver processing L: 1.2e-5.
   EXPECT_DOUBLE_EQ(predicted_time(s, p), 1.2e-5);
 }
@@ -75,12 +76,12 @@ TEST(Predict, StagesAccumulateAlongDependencies) {
   const TopologyProfile p = uniform_profile(3, 1e-5, 1e-6, 1e-6);
   // 0 -> 1, then 1 -> 2: two sequential hops.
   Schedule s(3);
-  StageMatrix s0(3, 3, 0);
+  oracle::StageMatrix s0(3, 3, 0);
   s0(0, 1) = 1;
-  StageMatrix s1(3, 3, 0);
+  oracle::StageMatrix s1(3, 3, 0);
   s1(1, 2) = 1;
-  s.append_stage(std::move(s0));
-  s.append_stage(std::move(s1));
+  s.append_stage(oracle::stage_from_matrix(s0));
+  s.append_stage(oracle::stage_from_matrix(s1));
   EXPECT_DOUBLE_EQ(predicted_time(s, p), 2 * 1.2e-5);
 }
 
@@ -88,21 +89,21 @@ TEST(Predict, ParallelSignalsDoNotAccumulate) {
   const TopologyProfile p = uniform_profile(4, 1e-5, 1e-6, 1e-6);
   // 0->1 and 2->3 concurrently cost the same as one signal.
   Schedule s(4);
-  StageMatrix m(4, 4, 0);
+  oracle::StageMatrix m(4, 4, 0);
   m(0, 1) = 1;
   m(2, 3) = 1;
-  s.append_stage(std::move(m));
+  s.append_stage(oracle::stage_from_matrix(m));
   EXPECT_DOUBLE_EQ(predicted_time(s, p), 1.2e-5);
 }
 
 TEST(Predict, FanOutPaysLatencyPerMessage) {
   const TopologyProfile p = uniform_profile(5, 1e-5, 1e-6, 1e-6);
   Schedule s(5);
-  StageMatrix m(5, 5, 0);
+  oracle::StageMatrix m(5, 5, 0);
   for (std::size_t j = 1; j < 5; ++j) {
     m(0, j) = 1;
   }
-  s.append_stage(std::move(m));
+  s.append_stage(oracle::stage_from_matrix(m));
   // Eq. 1 sender batch (max O + 4L) plus one receive processing L.
   EXPECT_DOUBLE_EQ(predicted_time(s, p), 1e-5 + 4e-6 + 1e-6);
 }
@@ -110,10 +111,10 @@ TEST(Predict, FanOutPaysLatencyPerMessage) {
 TEST(Predict, AwaitedStagesUseEquation2) {
   const TopologyProfile p = uniform_profile(3, 5e-5, 1e-6, 2e-6);
   Schedule s(3);
-  StageMatrix m(3, 3, 0);
+  oracle::StageMatrix m(3, 3, 0);
   m(0, 1) = 1;
   m(0, 2) = 1;
-  s.append_stage(std::move(m));
+  s.append_stage(oracle::stage_from_matrix(m));
   PredictOptions opts;
   opts.awaited_stages = {true};
   // Eq. 2 send batch (O_ii + 2L) plus one receive processing L.
@@ -124,12 +125,12 @@ TEST(Predict, AwaitedStagesUseEquation2) {
 TEST(Predict, EntrySkewDelaysCriticalPathOrigin) {
   const TopologyProfile p = uniform_profile(2, 1e-5, 1e-6, 1e-6);
   Schedule s(2);
-  StageMatrix a(2, 2, 0);
+  oracle::StageMatrix a(2, 2, 0);
   a(1, 0) = 1;
-  StageMatrix b(2, 2, 0);
+  oracle::StageMatrix b(2, 2, 0);
   b(0, 1) = 1;
-  s.append_stage(std::move(a));
-  s.append_stage(std::move(b));
+  s.append_stage(oracle::stage_from_matrix(a));
+  s.append_stage(oracle::stage_from_matrix(b));
   // Rank 1 arrives late; the barrier cost from last arrival stays 2 hops.
   PredictOptions opts;
   opts.entry_times = {0.0, 1.0};
@@ -161,11 +162,11 @@ TEST(Predict, ReceiverProcessingCanBeDisabled) {
   // receiver, so the linear gather collapses to a single batch cost.
   const TopologyProfile p = uniform_profile(5, 1e-5, 1e-6, 1e-6);
   Schedule s(5);
-  StageMatrix m(5, 5, 0);
+  oracle::StageMatrix m(5, 5, 0);
   for (std::size_t i = 1; i < 5; ++i) {
     m(i, 0) = 1;
   }
-  s.append_stage(std::move(m));
+  s.append_stage(oracle::stage_from_matrix(m));
   PredictOptions sender_only;
   sender_only.receiver_processing = false;
   EXPECT_DOUBLE_EQ(predicted_time(s, p, sender_only), 1.1e-5);
@@ -179,10 +180,10 @@ TEST(Predict, EgressContentionSerializesCoLocatedSenders) {
   // both marginal latencies.
   const TopologyProfile p = uniform_profile(4, 1e-5, 4e-6, 1e-6);
   Schedule s(4);
-  StageMatrix m(4, 4, 0);
+  oracle::StageMatrix m(4, 4, 0);
   m(0, 2) = 1;
   m(1, 3) = 1;
-  s.append_stage(std::move(m));
+  s.append_stage(oracle::stage_from_matrix(m));
   PredictOptions contended;
   contended.egress_resource_of = {0, 0, 1, 1};
   // Free egress: (max O + L) send batch + L receive processing.
@@ -194,10 +195,10 @@ TEST(Predict, EgressContentionSerializesCoLocatedSenders) {
 TEST(Predict, LocalMessagesIgnoreEgressTerm) {
   const TopologyProfile p = uniform_profile(4, 1e-5, 4e-6, 1e-6);
   Schedule s(4);
-  StageMatrix m(4, 4, 0);
+  oracle::StageMatrix m(4, 4, 0);
   m(0, 1) = 1;
   m(2, 3) = 1;
-  s.append_stage(std::move(m));
+  s.append_stage(oracle::stage_from_matrix(m));
   PredictOptions contended;
   contended.egress_resource_of = {0, 0, 0, 0};
   EXPECT_DOUBLE_EQ(predicted_time(s, p, contended), predicted_time(s, p));

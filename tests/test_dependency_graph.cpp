@@ -65,7 +65,7 @@ TEST(DependencyGraph, PathEdgesAreRealDependencies) {
     const DepNode& from = path[i - 1];
     const DepNode& to = path[i];
     if (from.rank != to.rank) {
-      EXPECT_EQ(s.stage(from.stage)(from.rank, to.rank), 1)
+      EXPECT_TRUE(s.has_signal(from.stage, from.rank, to.rank))
           << "edge " << from.rank << "->" << to.rank << " at stage "
           << from.stage << " is not a signal";
     }

@@ -7,6 +7,7 @@
 
 #include "barrier/algorithms.hpp"
 #include "core/tuner.hpp"
+#include "dense_schedule_oracle.hpp"
 #include "netsim/engine.hpp"
 #include "simmpi/communicator.hpp"
 #include "simmpi/fault.hpp"
@@ -69,9 +70,9 @@ TEST(CrashInjection, NonBarrierPatternsLeakSurvivors) {
   const TopologyProfile profile = cluster_profile(p);
   Schedule chain(p);  // 0 -> 1 -> 2 -> 3, no return path
   for (std::size_t s = 0; s + 1 < p; ++s) {
-    StageMatrix m(p, p, 0);
+    oracle::StageMatrix m(p, p, 0);
     m(s, s + 1) = 1;
-    chain.append_stage(std::move(m));
+    chain.append_stage(oracle::stage_from_matrix(m));
   }
   ASSERT_FALSE(chain.is_barrier());
   SimOptions options;

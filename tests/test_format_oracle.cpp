@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "dense_schedule_oracle.hpp"
 #include "format_fixtures.hpp"
 #include "format_oracle.hpp"
 #include "profile/generate_tiled.hpp"
@@ -271,13 +272,14 @@ StoredSchedule random_schedule(Rng& rng, std::size_t p, bool awaited) {
   const std::size_t stages = stored.schedule.stage_count();
   if (rng.next_below(2) == 0) {
     for (std::size_t s = 0; s < stages; ++s) {
-      StageMatrix t(p, p, 0);
+      oracle::StageMatrix t(p, p, 0);
       for (std::size_t i = 0; i < p; ++i) {
         for (std::size_t j = 0; j < p; ++j) {
-          t(i, j) = stored.schedule.stage(s)(i, j) && rng.next_below(2) == 0;
+          t(i, j) = stored.schedule.has_signal(s, i, j) &&
+                    rng.next_below(2) == 0;
         }
       }
-      stored.schedule.set_transport(s, t);
+      oracle::set_transport(stored.schedule, s, t);
     }
   }
   if (awaited) {

@@ -6,6 +6,7 @@
 
 #include <sstream>
 
+#include "dense_schedule_oracle.hpp"
 #include "util/error.hpp"
 
 namespace optibar {
@@ -147,13 +148,14 @@ TEST(BoolMatrix, MultiplyDimensionMismatchThrows) {
   EXPECT_THROW(bool_multiply(a, b), Error);
 }
 
+// bool_add survives only in the dense Schedule oracle's Eq. 3.
 TEST(BoolMatrix, AddIsElementwiseOr) {
   BoolMatrix a(2, 2, 0);
   a(0, 0) = 1;
   BoolMatrix b(2, 2, 0);
   b(0, 0) = 1;
   b(1, 1) = 1;
-  const auto c = bool_add(a, b);
+  const auto c = oracle::bool_add(a, b);
   EXPECT_EQ(c(0, 0), 1);
   EXPECT_EQ(c(1, 1), 1);
   EXPECT_EQ(c(0, 1), 0);

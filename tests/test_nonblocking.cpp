@@ -108,6 +108,27 @@ TEST(NonblockingBarrier, HandleIsMovable) {
   });
 }
 
+TEST(NonblockingBarrier, HandleIsPointerSizedAndEmptyAfterMove) {
+  // A vector of fresh handles is zero words; post() makes the one
+  // allocation and a finished handle frees it.
+  static_assert(sizeof(ScheduleExecutor::EpisodeHandle) == sizeof(void*));
+  const ScheduleExecutor executor(dissemination_barrier(5));
+  Communicator comm(5);
+  simmpi::run_ranks(comm, [&](RankContext& ctx) {
+    ScheduleExecutor::EpisodeHandle fresh;
+    EXPECT_FALSE(fresh.done());
+    EXPECT_THROW(executor.test(fresh), Error);
+    ScheduleExecutor::EpisodeHandle posted = executor.post(ctx);
+    ScheduleExecutor::EpisodeHandle handle = std::move(posted);
+    EXPECT_THROW(executor.wait(posted), Error);  // moved-from is empty
+    executor.wait(handle);
+    EXPECT_TRUE(handle.done());
+    EXPECT_TRUE(executor.test(handle));
+    handle = ScheduleExecutor::EpisodeHandle();  // a done handle drops cleanly
+    EXPECT_FALSE(handle.done());
+  });
+}
+
 TEST(NonblockingBarrier, ConcurrentEpisodesInterleave) {
   // Two posted episodes per rank advance independently; episode tags
   // keep their stages from cross-matching.

@@ -11,6 +11,7 @@
 #include "barrier/schedule_io.hpp"
 #include "barrier/validate.hpp"
 #include "core/tuner.hpp"
+#include "dense_schedule_oracle.hpp"
 #include "netsim/engine.hpp"
 #include "simmpi/executor.hpp"
 #include "topology/generate.hpp"
@@ -27,7 +28,7 @@ Schedule random_barrier(std::size_t p, Rng& rng) {
   Schedule s(p);
   const std::size_t prefix_stages = rng.next_below(4);
   for (std::size_t st = 0; st < prefix_stages; ++st) {
-    StageMatrix m(p, p, 0);
+    oracle::StageMatrix m(p, p, 0);
     for (std::size_t i = 0; i < p; ++i) {
       const std::size_t fan_out = rng.next_below(3);
       for (std::size_t k = 0; k < fan_out; ++k) {
@@ -37,12 +38,12 @@ Schedule random_barrier(std::size_t p, Rng& rng) {
         }
       }
     }
-    s.append_stage(std::move(m));
+    s.append_stage(oracle::stage_from_matrix(m));
   }
   // Keep the schedule alive across the loop: in C++20 a range-for over
   // `dissemination_arrival(p).stages()` would iterate a dangling member.
   const Schedule completion = dissemination_arrival(p);
-  for (const StageMatrix& stage : completion.stages()) {
+  for (const Stage& stage : completion.stages()) {
     s.append_stage(stage);
   }
   return s;
@@ -61,13 +62,13 @@ Schedule random_tree_arrival(std::size_t p, Rng& rng) {
   }
   Schedule s(p);
   for (std::size_t d = max_depth; d >= 1; --d) {
-    StageMatrix m(p, p, 0);
+    oracle::StageMatrix m(p, p, 0);
     for (std::size_t i = 1; i < p; ++i) {
       if (depth[i] == d) {
         m(i, parent[i]) = 1;
       }
     }
-    s.append_stage(std::move(m));
+    s.append_stage(oracle::stage_from_matrix(m));
   }
   return s;
 }
@@ -132,7 +133,7 @@ TEST_P(PropertySweep, RandomTreeArrivalsFunnelToRoot) {
   for (int round = 0; round < 10; ++round) {
     const std::size_t p = 2 + rng.next_below(15);
     const Schedule arrival = random_tree_arrival(p, rng);
-    const BoolMatrix k = arrival.final_knowledge();
+    const Knowledge k = arrival.final_knowledge();
     for (std::size_t i = 0; i < p; ++i) {
       EXPECT_EQ(k(i, 0), 1) << "P=" << p << " rank " << i;
     }
@@ -162,9 +163,9 @@ TEST_P(PropertySweep, CompactionPreservesBarrierAndCost) {
     Schedule s = random_barrier(p, rng);
     // Inject empty stages at random positions by rebuilding.
     Schedule padded(p);
-    for (const StageMatrix& stage : s.stages()) {
+    for (const Stage& stage : s.stages()) {
       if (rng.next_below(2) == 0) {
-        padded.append_stage(StageMatrix(p, p, 0));
+        padded.append_stage(Stage{});
       }
       padded.append_stage(stage);
     }
@@ -246,7 +247,8 @@ TEST_P(PropertySweep, ScheduleIoRoundTripsRandomBarriers) {
       // cycle (they would deadlock an eager blocking-send replay), so
       // honor the composer invariant: awaited implies acyclic.
       stored.awaited_stages[i] =
-          rng.next_below(2) == 1 && !stage_has_cycle(stored.schedule.stage(i));
+          rng.next_below(2) == 1 &&
+          !stage_has_cycle(stored.schedule.stage(i), p);
     }
     std::stringstream ss;
     save_schedule(ss, stored);

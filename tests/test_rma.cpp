@@ -24,6 +24,7 @@
 #include "barrier/cost_model.hpp"
 #include "barrier/schedule.hpp"
 #include "core/tuner.hpp"
+#include "dense_schedule_oracle.hpp"
 #include "netsim/engine.hpp"
 #include "rma/layout.hpp"
 #include "rma/transport.hpp"
@@ -53,16 +54,16 @@ simmpi::LatencyModel zero_latency() {
 /// Tag every signal of `schedule` one-sided.
 void tag_all(Schedule& schedule) {
   for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-    schedule.set_transport(s, schedule.stage(s));
+    schedule.set_all_one_sided(s, true);
   }
 }
 
 /// Tag exactly the edge (stage, src, dst) one-sided.
 void tag_edge(Schedule& schedule, std::size_t stage, std::size_t src,
               std::size_t dst) {
-  StageMatrix transport(schedule.ranks(), schedule.ranks(), 0);
+  oracle::StageMatrix transport(schedule.ranks(), schedule.ranks(), 0);
   transport(src, dst) = 1;
-  schedule.set_transport(stage, std::move(transport));
+  oracle::set_transport(schedule, stage, std::move(transport));
 }
 
 ResilienceOptions fast_options() {
@@ -179,7 +180,7 @@ TEST(RmaExecutor, MixedTransportEpisodeSynchronizes) {
   Schedule schedule = dissemination_barrier(6);
   // Stage 0 travels one-sided, later stages stay two-sided: both
   // mechanisms must interlock within one episode.
-  schedule.set_transport(0, schedule.stage(0));
+  schedule.set_all_one_sided(0, true);
   const ScheduleExecutor executor(schedule);
   const auto delayed = executor.run_once(
       simmpi::uniform_latency(),
@@ -214,7 +215,7 @@ TEST(RmaExecutor, HandleLifecycleOverRmaEdges) {
   // post/test/wait across mixed transports: episode 0 polled to
   // completion with test(), episode 1 parked out with wait().
   Schedule schedule = dissemination_barrier(4);
-  schedule.set_transport(1, schedule.stage(1));
+  schedule.set_all_one_sided(1, true);
   const ScheduleExecutor executor(schedule);
   Communicator comm(4, zero_latency());
   simmpi::run_ranks(comm, [&](RankContext& ctx) {
@@ -237,9 +238,9 @@ Schedule ping_pong_ping() {
   for (const auto [src, dst] : {std::array<std::size_t, 2>{0, 1},
                                 std::array<std::size_t, 2>{1, 0},
                                 std::array<std::size_t, 2>{0, 1}}) {
-    StageMatrix stage(2, 2, 0);
+    oracle::StageMatrix stage(2, 2, 0);
     stage(src, dst) = 1;
-    schedule.append_stage(std::move(stage));
+    schedule.append_stage(oracle::stage_from_matrix(stage));
   }
   tag_all(schedule);
   return schedule;
@@ -417,12 +418,12 @@ double reference_assign_transports(Schedule& schedule,
   const auto cost = [&] { return predicted_time(schedule, profile, options); };
   const auto clear_all = [&] {
     for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-      schedule.set_transport(s, StageMatrix(p, p, 0));
+      oracle::set_transport(schedule, s, oracle::StageMatrix(p, p, 0));
     }
   };
   const auto tag_all = [&] {
     for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-      schedule.set_transport(s, schedule.stage(s));
+      schedule.set_all_one_sided(s, true);
     }
   };
 
@@ -449,18 +450,17 @@ double reference_assign_transports(Schedule& schedule,
   for (int pass = 0; pass < kMaxHybridPasses; ++pass) {
     bool improved = false;
     for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
-      const StageMatrix& stage = schedule.stage(s);
+      const oracle::StageMatrix stage = oracle::stage_matrix(schedule, s);
       for (std::size_t i = 0; i < p; ++i) {
         for (std::size_t j = 0; j < p; ++j) {
           if (!stage(i, j)) {
             continue;
           }
-          const StageMatrix before = schedule.transport(s).empty()
-                                         ? StageMatrix(p, p, 0)
-                                         : schedule.transport(s);
-          StageMatrix flipped = before;
+          const oracle::StageMatrix before =
+              oracle::transport_matrix(schedule, s);
+          oracle::StageMatrix flipped = before;
           flipped(i, j) = flipped(i, j) ? 0 : 1;
-          schedule.set_transport(s, std::move(flipped));
+          oracle::set_transport(schedule, s, std::move(flipped));
           const double flipped_cost = cost();
           if (flipped_cost < best) {
             best = flipped_cost;
@@ -468,7 +468,7 @@ double reference_assign_transports(Schedule& schedule,
             ++branches.accepted_flips;
             branches.late_accepts += pass >= 1 ? 1 : 0;
           } else {
-            schedule.set_transport(s, before);
+            oracle::set_transport(schedule, s, before);
           }
         }
       }
@@ -482,20 +482,21 @@ double reference_assign_transports(Schedule& schedule,
     for (std::size_t s = 0; s < schedule.stage_count(); ++s) {
       for (std::size_t i = 0; i < p; ++i) {
         for (std::size_t j = 0; j < p; ++j) {
-          if (schedule.transport(s).empty() || !schedule.one_sided(s, i, j)) {
+          if (!schedule.one_sided(s, i, j)) {
             continue;
           }
-          const StageMatrix before = schedule.transport(s);
-          StageMatrix untagged = before;
+          const oracle::StageMatrix before =
+              oracle::transport_matrix(schedule, s);
+          oracle::StageMatrix untagged = before;
           untagged(i, j) = 0;
-          schedule.set_transport(s, std::move(untagged));
+          oracle::set_transport(schedule, s, std::move(untagged));
           const double untagged_cost = cost();
           if (untagged_cost <= best) {
             best = untagged_cost;
             changed = true;
             ++branches.untags;
           } else {
-            schedule.set_transport(s, before);
+            oracle::set_transport(schedule, s, before);
           }
         }
       }
@@ -586,7 +587,7 @@ TEST(RmaTransport, HybridBeatsClassicOnHexPreset) {
   EXPECT_GT(best.one_sided_signals, 0u);
   std::size_t total_signals = 0;
   for (std::size_t s = 0; s < best.schedule.stage_count(); ++s) {
-    total_signals += best.schedule.stage(s).count_nonzero();
+    total_signals += best.schedule.stage(s).size();
   }
   EXPECT_LT(best.one_sided_signals, total_signals);
 

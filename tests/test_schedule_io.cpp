@@ -9,6 +9,7 @@
 
 #include "barrier/algorithms.hpp"
 #include "core/tuner.hpp"
+#include "dense_schedule_oracle.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
 #include "util/error.hpp"
@@ -82,18 +83,18 @@ TEST(ScheduleIo, RoundTripsTransportTags) {
   StoredSchedule original;
   original.schedule = dissemination_barrier(6);
   // Mixed: stage 0 fully one-sided, stage 1 one edge, stage 2 none.
-  original.schedule.set_transport(0, original.schedule.stage(0));
-  StageMatrix partial(6, 6, 0);
+  original.schedule.set_all_one_sided(0, true);
+  oracle::StageMatrix partial(6, 6, 0);
   bool tagged = false;
   for (std::size_t i = 0; i < 6 && !tagged; ++i) {
     for (std::size_t j = 0; j < 6 && !tagged; ++j) {
-      if (original.schedule.stage(1)(i, j)) {
+      if (original.schedule.has_signal(1, i, j)) {
         partial(i, j) = 1;  // exactly one edge
         tagged = true;
       }
     }
   }
-  original.schedule.set_transport(1, std::move(partial));
+  oracle::set_transport(original.schedule, 1, partial);
   std::stringstream ss;
   save_schedule(ss, original);
   EXPECT_NE(ss.str().find("optibar-schedule v2\n"), std::string::npos);

@@ -12,6 +12,7 @@
 #include <chrono>
 
 #include "barrier/algorithms.hpp"
+#include "dense_schedule_oracle.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
 #include "util/error.hpp"
@@ -173,9 +174,10 @@ TEST(Runtime, PingPongAcrossThreads) {
 
 TEST(Executor, RejectsNonBarrierPatterns) {
   Schedule s(2);
-  StageMatrix m(2, 2, 0);
+  oracle::StageMatrix m(2, 2, 0);
   m(0, 1) = 1;
-  s.append_stage(std::move(m));  // one-way signal: not a barrier
+  // One-way signal: not a barrier.
+  s.append_stage(oracle::stage_from_matrix(m));
   EXPECT_THROW(simmpi::ScheduleExecutor{s}, Error);
 }
 

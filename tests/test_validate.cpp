@@ -12,22 +12,18 @@
 #include "barrier/algorithms.hpp"
 #include "barrier/schedule_io.hpp"
 #include "core/tuner.hpp"
+#include "dense_schedule_oracle.hpp"
 #include "topology/generate.hpp"
 #include "topology/machine.hpp"
 #include "topology/mapping.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace optibar {
 namespace {
 
 // A 3-rank stage whose edge digraph is the cycle 0 -> 1 -> 2 -> 0.
-StageMatrix ring_stage() {
-  StageMatrix stage(3, 3);
-  stage(0, 1) = 1;
-  stage(1, 2) = 1;
-  stage(2, 0) = 1;
-  return stage;
-}
+Stage ring_stage() { return Stage{Signal{0, 1}, Signal{1, 2}, Signal{2, 0}}; }
 
 bool has_issue(const ValidationResult& result, ScheduleIssueKind kind) {
   for (const ScheduleIssue& issue : result.issues) {
@@ -39,22 +35,51 @@ bool has_issue(const ValidationResult& result, ScheduleIssueKind kind) {
 }
 
 TEST(StageHasCycle, DetectsCyclesAndAcceptsDags) {
-  EXPECT_TRUE(stage_has_cycle(ring_stage()));
+  EXPECT_TRUE(stage_has_cycle(ring_stage(), 3));
 
-  StageMatrix two_cycle(2, 2);
-  two_cycle(0, 1) = 1;
-  two_cycle(1, 0) = 1;
-  EXPECT_TRUE(stage_has_cycle(two_cycle));
+  const Stage two_cycle{Signal{0, 1}, Signal{1, 0}};
+  EXPECT_TRUE(stage_has_cycle(two_cycle, 2));
 
-  StageMatrix fan_out(4, 4);  // 0 -> {1,2,3}: a DAG
-  fan_out(0, 1) = fan_out(0, 2) = fan_out(0, 3) = 1;
-  EXPECT_FALSE(stage_has_cycle(fan_out));
+  const Stage fan_out{Signal{0, 1}, Signal{0, 2}, Signal{0, 3}};  // a DAG
+  EXPECT_FALSE(stage_has_cycle(fan_out, 4));
 
-  StageMatrix chain(4, 4);  // 0 -> 1 -> 2 -> 3
-  chain(0, 1) = chain(1, 2) = chain(2, 3) = 1;
-  EXPECT_FALSE(stage_has_cycle(chain));
+  const Stage chain{Signal{0, 1}, Signal{1, 2}, Signal{2, 3}};  // 0->1->2->3
+  EXPECT_FALSE(stage_has_cycle(chain, 4));
 
-  EXPECT_FALSE(stage_has_cycle(StageMatrix(3, 3)));  // empty stage
+  EXPECT_FALSE(stage_has_cycle(Stage{}, 3));  // empty stage
+}
+
+TEST(StageHasCycle, AgreesWithTheDenseSearchOnRandomStages) {
+  // The edge DFS against the dense matrix DFS of the oracle's
+  // validation: same verdict on random stages, dense and sparse.
+  Rng rng(7);
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t p = 1 + rng.next_below(12);
+    oracle::StageMatrix m(p, p, 0);
+    const std::size_t density = 1 + rng.next_below(4);
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t j = 0; j < p; ++j) {
+        m(i, j) = i != j && rng.next_below(p * density) < 2 ? 1 : 0;
+      }
+    }
+    // Dense reference: K+ of the stage has a nonzero diagonal entry.
+    oracle::StageMatrix reach = m;
+    for (std::size_t k = 0; k < p; ++k) {
+      for (std::size_t i = 0; i < p; ++i) {
+        for (std::size_t j = 0; j < p; ++j) {
+          if (reach(i, k) && reach(k, j)) {
+            reach(i, j) = 1;
+          }
+        }
+      }
+    }
+    bool cyclic = false;
+    for (std::size_t i = 0; i < p; ++i) {
+      cyclic = cyclic || reach(i, i) != 0;
+    }
+    EXPECT_EQ(stage_has_cycle(oracle::stage_from_matrix(m), p), cyclic)
+        << "round " << round;
+  }
 }
 
 TEST(Validate, EveryClassicGeneratorPasses) {
